@@ -5,8 +5,12 @@ number of loop iterations executed, rather than reading the clock inside
 the loop — per-loop clock reads would perturb exactly the quantity being
 measured.  Each sample accumulates at least ``min_loops`` iterations
 (default 1000), split over ten internally timed batches whose spread
-gives the recorded dispersion; a warmup block is run first and discarded
-to absorb cache and frequency ramp.  ``residual_tolerance`` is forced to
+gives the recorded dispersion and whose two slowest are left out of the
+mean; a warmup block is run first and discarded to absorb cache and
+frequency ramp.  A sweep over several N interleaves
+them: the warmups at every N, then ten rounds in which each N runs one
+batch, so a drift in the host's speed spreads over all N instead of
+tilting the fitted slope.  ``residual_tolerance`` is forced to
 0 so every solve runs its full iteration count and every loop performs
 exactly N - 1 evaluations, keeping loop cost homogeneous with the
 ``t = m*N + c`` model being fitted.
@@ -61,6 +65,13 @@ __all__ = [
 CSV_HEADER = "N,mean_loop_seconds,stddev_loop_seconds,loop_count"
 
 _N_BATCHES = 10
+
+#: Batches per sample left out of its mean: the slowest ones.  Another
+#: process that stalls this one for a few milliseconds lands in one
+#: batch of about a millisecond and only ever adds time; kept in, one
+#: such batch can flatten or invert the fitted slope once the per-node
+#: cost is a few nanoseconds.
+_DROPPED_BATCHES = 2
 
 
 @dataclass(frozen=True)
@@ -220,62 +231,79 @@ def measure_loop_time(
 
     Runs (and discards) a warmup block, then ten timed batches totalling
     at least ``min_loops`` loop iterations.  The mean is total elapsed
-    over total loops; the recorded dispersion is the sample standard
-    deviation of the per-batch means.  Raises :class:`ClockError` when
-    the clock's resolution exceeds 1% of the measured span.
+    over total loops of all batches but the two slowest; the recorded
+    dispersion is the sample standard deviation of all ten per-batch
+    means, and ``loop_count`` counts every timed loop.  Raises
+    :class:`ClockError` when the clock's resolution exceeds 1% of the
+    measured span.
     """
     if N < 2:
         raise DomainError(f"N must be >= 2, got {N}")
-    if runner is None:
-        runner = WallClockRunner()
-    options = SolveOptions(sections=N)
-
-    if warmup_loops > 0:
-        runner.timed_loops(problem, options, warmup_loops)
-
-    batch_target = -(-min_loops // _N_BATCHES)
-    total_loops = 0
-    total_elapsed = 0.0
-    batch_means = []
-    for _ in range(_N_BATCHES):
-        loops, elapsed = runner.timed_loops(problem, options, batch_target)
-        total_loops += loops
-        total_elapsed += elapsed
-        batch_means.append(elapsed / loops)
-
-    if runner.resolution > 0.01 * total_elapsed:
-        raise ClockError(
-            f"clock resolution {runner.resolution}s exceeds 1% of the "
-            f"measured span {total_elapsed}s; increase min_loops"
-        )
-
-    stddev = statistics.stdev(batch_means) if len(batch_means) > 1 else 0.0
-    return TimingSample(
-        N=N,
-        mean_loop_seconds=total_elapsed / total_loops,
-        stddev_loop_seconds=stddev,
-        loop_count=total_loops,
-    )
+    return _measure(problem, [N], min_loops, warmup_loops, runner)[0]
 
 
-def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[TimingSample]:
-    """One TimingSample per configured N, measured in ascending order.
+def _measure(
+    problem: Problem,
+    ns: Sequence[int],
+    min_loops: int,
+    warmup_loops: int,
+    runner: Optional[LoopRunner],
+) -> list[TimingSample]:
+    """One TimingSample per N in ``ns``, measured interleaved: the warmup
+    at every N first, then ten rounds in which each N runs one batch.
 
-    Duplicate N values are measured once; output is sorted by N.
+    A step in the host's speed partway through then lands on every N
+    alike instead of on the N measured after it, which would tilt the
+    fitted slope (and with a per-node cost this small, flip its sign).
     """
     if runner is None:
         runner = WallClockRunner()
-    ns = sorted(set(config.n_values))
+    options = [SolveOptions(sections=n) for n in ns]
+    if warmup_loops > 0:
+        for opts in options:
+            runner.timed_loops(problem, opts, warmup_loops)
+
+    batch_target = -(-min_loops // _N_BATCHES)
+    batches: list[list[tuple[int, float]]] = [[] for _ in ns]
+    for _ in range(_N_BATCHES):
+        for opts, timed in zip(options, batches):
+            timed.append(runner.timed_loops(problem, opts, batch_target))
+
     samples = []
-    for i, n in enumerate(ns):
-        sample = measure_loop_time(
-            config.problem, n, config.min_loops, config.warmup_loops,
-            runner=runner,
-        )
-        samples.append(sample)
+    for n, timed in zip(ns, batches):
+        total_elapsed = sum(elapsed for _, elapsed in timed)
+        if runner.resolution > 0.01 * total_elapsed:
+            raise ClockError(
+                f"clock resolution {runner.resolution}s exceeds 1% of the "
+                f"measured span {total_elapsed}s; increase min_loops"
+            )
+        kept = sorted(timed, key=lambda t: t[1] / t[0])[:-_DROPPED_BATCHES]
+        batch_means = [elapsed / loops for loops, elapsed in timed]
+        samples.append(TimingSample(
+            N=n,
+            mean_loop_seconds=(sum(elapsed for _, elapsed in kept)
+                               / sum(loops for loops, _ in kept)),
+            stddev_loop_seconds=statistics.stdev(batch_means),
+            loop_count=sum(loops for loops, _ in timed),
+        ))
+    return samples
+
+
+def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[TimingSample]:
+    """One TimingSample per configured N, with the N interleaved: every
+    round of batches visits each N once (see :func:`measure_loop_time`
+    for what one sample holds).
+
+    Duplicate N values are measured once; output is sorted by N.
+    """
+    ns = sorted(set(config.n_values))
+    samples = _measure(
+        config.problem, ns, config.min_loops, config.warmup_loops, runner
+    )
+    for sample in samples:
         logger.info(
-            "sweep %s: N=%d (%d/%d) mean=%.3e s/loop",
-            config.problem.id, n, i + 1, len(ns), sample.mean_loop_seconds,
+            "sweep %s: N=%d mean=%.3e s/loop",
+            config.problem.id, sample.N, sample.mean_loop_seconds,
         )
     return samples
 

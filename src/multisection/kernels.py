@@ -6,9 +6,10 @@ Two engines produce :class:`~multisection.solver.SolveResult` objects:
   evaluates each iteration's nodes with one vectorized call.
 * ``"numba"`` — a compiled kernel built per target function by closing a
   nopython loop over the jitted callable.  The kernel replays the
-  reference semantics step for step (same node arithmetic, same leftmost
-  sign-change scan, same tracked-width termination), so results agree
-  with the numpy path apart from last-ulp libm differences in f itself.
+  reference semantics step for step (same node arithmetic, leftmost
+  sign-change scan and tracked-width termination) and fills the arrays
+  the solver builds every backend's trace from, so results agree with
+  the numpy path apart from last-ulp libm differences in f itself.
 
 Selection order: an explicit ``backend=`` argument, then the
 MULTISECTION_BACKEND environment variable, then auto-detection (numba if
@@ -23,20 +24,19 @@ path; the failure is cached so the compile is attempted only once.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from typing import Optional
 
 import numpy as np
 
-from .errors import BracketError, DomainError, EvaluationError, NoSignChangeError
+from .errors import DomainError, EvaluationError, NoSignChangeError
 from .solver import (
-    Interval,
-    IterationRecord,
     Problem,
     SolveOptions,
     SolveResult,
+    Steps,
     Termination,
+    _validate_endpoints,
     predicted_max_iterations,
 )
 
@@ -157,7 +157,7 @@ def _make_kernel(nb, fj):
             seg = -1
             px = lo
             pf = f_lo
-            ps = (0 < pf) - (pf < 0)
+            ps = int(0 < pf) - int(pf < 0)
             for k in range(sections):
                 if k < sections - 1:
                     cx = nodes_x[it, k]
@@ -165,7 +165,7 @@ def _make_kernel(nb, fj):
                 else:
                     cx = hi
                     cf = f_hi
-                cs = (0 < cf) - (cf < 0)
+                cs = int(0 < cf) - int(cf < 0)
                 if cs != ps:
                     seg = k
                     break
@@ -225,60 +225,31 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
     """Solve on the numba backend; None when f cannot be compiled.
 
     Endpoint values are computed with the jitted function too, so the
-    whole run sees one evaluation engine.
-    """
+    whole run sees one evaluation engine."""
     kernel = _kernel_for(problem.f)
     if kernel is None:
         return None
     fj = _jit_cache[problem.f]
     nb = _get_numba()
 
-    lo, hi = problem.bracket.lo, problem.bracket.hi
     sections = options.sections
-    tol = options.width_tolerance
-
     try:
-        f_lo = float(fj(lo))
-        f_hi = float(fj(hi))
-    except nb.core.errors.NumbaError:
-        logger.warning("numba compile failed for %r", problem.id)
-        _kernel_cache[problem.f] = None
-        return None
+        f_lo, f_hi, done = _validate_endpoints(fj, problem.bracket)
+        if done is not None:
+            return done
 
-    if math.isnan(f_lo) or math.isnan(f_hi):
-        bad = lo if math.isnan(f_lo) else hi
-        raise EvaluationError(f"f({bad}) is NaN")
-    s_lo = (0 < f_lo) - (f_lo < 0)
-    s_hi = (0 < f_hi) - (f_hi < 0)
-    if s_lo == s_hi:
-        raise BracketError(
-            f"f does not change sign over [{lo}, {hi}]: "
-            f"f(lo)={f_lo}, f(hi)={f_hi}"
-        )
-    if s_lo == 0 or s_hi == 0:
-        return SolveResult(
-            root=lo if s_lo == 0 else hi,
-            residual=0.0,
-            iterations=0,
-            function_evaluations=2,
-            trace=(),
-            termination=Termination.EXACT_ZERO,
-        )
-
-    cap = options.max_iterations
-    if cap is None:
-        cap = predicted_max_iterations(problem.bracket, tol, sections) + 2
-
-    rows = max(cap, 1)
-    nodes_x = np.empty((rows, sections - 1), dtype=np.float64)
-    nodes_f = np.empty((rows, sections - 1), dtype=np.float64)
-    chosen_lo = np.empty(rows, dtype=np.float64)
-    chosen_hi = np.empty(rows, dtype=np.float64)
-
-    try:
+        cap = options.max_iterations
+        if cap is None:
+            cap = predicted_max_iterations(
+                problem.bracket, options.width_tolerance, sections) + 2
+        rows = max(cap, 1)
+        nodes_x = np.empty((rows, sections - 1), dtype=np.float64)
+        nodes_f = np.empty((rows, sections - 1), dtype=np.float64)
+        chosen_lo = np.empty(rows, dtype=np.float64)
+        chosen_hi = np.empty(rows, dtype=np.float64)
         term, root, residual, iterations = kernel(
-            lo, hi, f_lo, f_hi, sections, tol,
-            options.residual_tolerance, cap,
+            problem.bracket.lo, problem.bracket.hi, f_lo, f_hi, sections,
+            options.width_tolerance, options.residual_tolerance, cap,
             nodes_x, nodes_f, chosen_lo, chosen_hi,
         )
     except nb.core.errors.NumbaError:
@@ -294,22 +265,6 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
             "is the function deterministic?"
         )
 
-    trace = []
-    before = problem.bracket
-    for i in range(iterations):
-        chosen = Interval(float(chosen_lo[i]), float(chosen_hi[i]))
-        exact = None
-        if term == _TERM_EXACT and i == iterations - 1:
-            exact = float(root)
-        trace.append(IterationRecord(
-            index=i + 1,
-            interval_before=before,
-            evaluated_nodes=tuple(zip(nodes_x[i].tolist(), nodes_f[i].tolist())),
-            chosen_subinterval=chosen,
-            exact_root=exact,
-        ))
-        before = chosen
-
     termination = {
         _TERM_WIDTH: Termination.WIDTH_REACHED,
         _TERM_EXACT: Termination.EXACT_ZERO,
@@ -317,11 +272,13 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
         _TERM_MAXITER: Termination.MAX_ITERATIONS,
     }[term]
 
+    iterations = int(iterations)
     return SolveResult(
         root=float(root),
         residual=float(residual),
-        iterations=int(iterations),
-        function_evaluations=2 + (sections - 1) * int(iterations),
-        trace=tuple(trace),
+        iterations=iterations,
+        function_evaluations=2 + (sections - 1) * iterations,
         termination=termination,
+        steps=Steps(problem.bracket, nodes_x[:iterations], nodes_f[:iterations],
+                    chosen_lo[:iterations], chosen_hi[:iterations]),
     )

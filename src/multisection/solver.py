@@ -23,16 +23,23 @@ is reported as the root and recorded as the right endpoint of the chosen
 subinterval (sign 0 differs from the nonzero sign to its left), so every
 iteration record — including the last one of an exact-zero run — carries a
 genuine subinterval of 1/N the parent width.
+
+A solve keeps each iteration's node arrays and chosen endpoints as they
+are; the :class:`IterationRecord` trace is built from them on the first
+read of :attr:`SolveResult.trace`, so a caller that never reads it never
+pays for it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+import numbers
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,6 +106,10 @@ class Problem:
                 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver knobs.
@@ -113,16 +124,20 @@ class SolveOptions:
     max_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.sections < 2:
-            raise DomainError(f"sections must be >= 2, got {self.sections}")
+        if not (_is_int(self.sections) and self.sections >= 2):
+            raise DomainError(f"sections must be an integer >= 2, got {self.sections!r}")
         if not (self.width_tolerance > 0.0 and math.isfinite(self.width_tolerance)):
             raise DomainError(f"width_tolerance must be positive, got {self.width_tolerance}")
-        if self.residual_tolerance < 0.0:
+        if not (self.residual_tolerance >= 0.0 and math.isfinite(self.residual_tolerance)):
             raise DomainError(
-                f"residual_tolerance must be >= 0, got {self.residual_tolerance}"
+                f"residual_tolerance must be finite and >= 0, got {self.residual_tolerance}"
             )
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise DomainError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.max_iterations is not None and not (
+            _is_int(self.max_iterations) and self.max_iterations >= 0
+        ):
+            raise DomainError(
+                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}"
+            )
 
 
 class Termination(Enum):
@@ -150,7 +165,30 @@ class IterationRecord:
     exact_root: Optional[float] = None
 
 
-@dataclass(frozen=True)
+class Steps(NamedTuple):
+    """What every backend's solve keeps to build its trace from: the
+    bracket and, per iteration, the nodes, their f values and the chosen
+    subinterval's ends."""
+
+    bracket: Interval
+    nodes_x: Sequence[np.ndarray]
+    nodes_f: Sequence[np.ndarray]
+    chosen_lo: Sequence[float]
+    chosen_hi: Sequence[float]
+
+
+def _record(index: int, before: Interval, xs, fs, lo: float, hi: float,
+            exact_root: Optional[float]) -> IterationRecord:
+    return IterationRecord(
+        index=index,
+        interval_before=before,
+        evaluated_nodes=tuple(zip(xs.tolist(), fs.tolist())),
+        chosen_subinterval=Interval(float(lo), float(hi)),
+        exact_root=exact_root,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of a solve.
 
@@ -158,20 +196,57 @@ class SolveResult:
     plus ``sections - 1`` per iteration.  The diagnostic residual probe at
     the returned root (for width/iteration-capped stops) is not counted:
     it is reporting, not search work.
+
+    ``trace`` holds one :class:`IterationRecord` per iteration.  It is
+    built from ``steps`` on its first read and cached; results compare
+    and hash by their fields and their trace.
     """
 
     root: float
     residual: float
     iterations: int
     function_evaluations: int
-    trace: tuple[IterationRecord, ...]
     termination: Termination
+    steps: Optional[Steps] = field(default=None, repr=False)
+
+    @cached_property
+    def trace(self) -> tuple[IterationRecord, ...]:
+        if self.steps is None:
+            return ()
+        bracket, nodes_x, nodes_f, chosen_lo, chosen_hi = self.steps
+        exact = self.root if self.termination is Termination.EXACT_ZERO else None
+        records = []
+        before = bracket
+        for i in range(len(chosen_lo)):
+            last = i == len(chosen_lo) - 1
+            record = _record(i + 1, before, nodes_x[i], nodes_f[i],
+                             chosen_lo[i], chosen_hi[i], exact if last else None)
+            records.append(record)
+            before = record.chosen_subinterval
+        return tuple(records)
+
+    def _key(self) -> tuple:
+        return (self.root, self.residual, self.iterations,
+                self.function_evaluations, self.trace, self.termination)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-def _validate_endpoints(problem: Problem) -> tuple[float, float, int, int]:
-    """Evaluate f at the bracket endpoints once, validating as we go."""
-    f = problem.f
-    lo, hi = problem.bracket.lo, problem.bracket.hi
+def _validate_endpoints(
+    f: Callable[[float], float], bracket: Interval
+) -> tuple[float, float, Optional[SolveResult]]:
+    """Evaluate f at the bracket endpoints once, validating as we go.
+
+    Returns f at both ends, and the finished zero-iteration result when
+    one end is an exact zero (else None).
+    """
+    lo, hi = bracket.lo, bracket.hi
     f_lo = float(f(lo))
     f_hi = float(f(hi))
     if math.isnan(f_lo) or math.isnan(f_hi):
@@ -183,7 +258,15 @@ def _validate_endpoints(problem: Problem) -> tuple[float, float, int, int]:
             f"f does not change sign over [{lo}, {hi}]: "
             f"f(lo)={f_lo}, f(hi)={f_hi}"
         )
-    return f_lo, f_hi, s_lo, s_hi
+    if s_lo != 0 and s_hi != 0:
+        return f_lo, f_hi, None
+    return f_lo, f_hi, SolveResult(
+        root=lo if s_lo == 0 else hi,
+        residual=0.0,
+        iterations=0,
+        function_evaluations=2,
+        termination=Termination.EXACT_ZERO,
+    )
 
 
 def validate_bracket(problem: Problem) -> tuple[int, int]:
@@ -194,88 +277,77 @@ def validate_bracket(problem: Problem) -> tuple[int, int]:
     :class:`EvaluationError` on NaN.  A single exact-zero endpoint is a
     valid bracket: sign 0 differs from the other side.
     """
-    _, _, s_lo, s_hi = _validate_endpoints(problem)
-    return s_lo, s_hi
+    f_lo, f_hi, _ = _validate_endpoints(problem.f, problem.bracket)
+    return sign(f_lo), sign(f_hi)
 
 
-def _evaluate_nodes(
-    f: Callable[[float], float], lo: float, hi: float, sections: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate f at the N-1 interior nodes, vectorized when f allows it.
+class _Stepper:
+    """One N-section pass at a time for one solve.
 
-    Node arithmetic is pinned to ``lo + (j * (hi - lo)) / N`` so vector and
-    scalar paths produce bit-identical abscissas.
+    Holds the node offsets ``j = 1 .. N-1`` and whether f takes arrays:
+    the first time f rejects an array (any exception but
+    :class:`EvaluationError`, or a result of the wrong shape), every
+    later pass calls it once per node instead.
     """
-    span = hi - lo
-    j = np.arange(1, sections, dtype=np.float64)
-    xs = lo + (j * span) / sections
-    try:
-        raw = f(xs)
-        fs = np.asarray(raw, dtype=np.float64)
-        if fs.shape != xs.shape:
-            raise TypeError("shape mismatch")
-    except EvaluationError:
-        raise
-    except Exception:
-        fs = np.array([float(f(float(x))) for x in xs], dtype=np.float64)
-    if np.isnan(fs).any():
-        bad = xs[int(np.argmax(np.isnan(fs)))]
-        raise EvaluationError(f"f({bad}) is NaN")
-    return xs, fs
 
+    def __init__(self, f: Callable[[float], float], sections: int):
+        self.f = f
+        self.sections = sections
+        self.j = np.arange(1, sections, dtype=np.float64)
+        self.vectorized = True
 
-def _scan_segments(
-    pts_x: list[float], pts_f: list[float]
-) -> tuple[int, Interval, Optional[float]]:
-    """Find the leftmost adjacent pair with differing signs.
+    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
+        if self.vectorized:
+            try:
+                fs = np.asarray(self.f(xs), dtype=np.float64)
+                if fs.shape == xs.shape:
+                    return fs
+            except EvaluationError:
+                raise
+            except Exception:
+                pass
+            self.vectorized = False
+        return np.array([float(self.f(x)) for x in xs.tolist()], dtype=np.float64)
 
-    A zero value has sign 0 and therefore differs from any nonzero
-    neighbor, so an exact zero is picked up by the same scan that finds
-    sign changes; the zero endpoint of the pair is returned as the exact
-    root.  Returns the left point's index so callers can look up cached f
-    values positionally (point abscissas can coincide once the bracket is
-    a single spacing unit wide).  Raises :class:`NoSignChangeError` when
-    every pair matches.
-    """
-    s_prev = sign(pts_f[0])
-    for k in range(1, len(pts_x)):
-        s_k = sign(pts_f[k])
-        if s_k != s_prev:
-            chosen = Interval(pts_x[k - 1], pts_x[k])
-            if pts_f[k] == 0.0:
-                return k - 1, chosen, pts_x[k]
-            if pts_f[k - 1] == 0.0:
-                return k - 1, chosen, pts_x[k - 1]
-            return k - 1, chosen, None
-        s_prev = s_k
-    raise NoSignChangeError(
-        "no adjacent evaluation pair changes sign; "
-        "is the function deterministic?"
-    )
+    def step(self, lo: float, hi: float, f_lo: float, f_hi: float):
+        """Evaluate the nodes of [lo, hi] and pick the leftmost pair of
+        adjacent points, endpoints included, whose signs differ.
 
-
-def _step(
-    interval: Interval,
-    f: Callable[[float], float],
-    sections: int,
-    index: int,
-    f_lo: float,
-    f_hi: float,
-) -> tuple[IterationRecord, float, float]:
-    """One multisection pass; returns the record plus the f values at the
-    chosen subinterval's endpoints (so the caller never re-evaluates)."""
-    xs, fs = _evaluate_nodes(f, interval.lo, interval.hi, sections)
-    pts_x = [interval.lo, *xs.tolist(), interval.hi]
-    pts_f = [f_lo, *fs.tolist(), f_hi]
-    k, chosen, exact = _scan_segments(pts_x, pts_f)
-    record = IterationRecord(
-        index=index,
-        interval_before=interval,
-        evaluated_nodes=tuple(zip(xs.tolist(), fs.tolist())),
-        chosen_subinterval=chosen,
-        exact_root=exact,
-    )
-    return record, pts_f[k], pts_f[k + 1]
+        Returns the nodes, their f values, the chosen (lo, hi, f_lo, f_hi)
+        and the exact-zero point or None: a zero has sign 0, so it differs
+        from any nonzero neighbor and is the exact root.  Raises
+        :class:`NoSignChangeError` when every pair matches.
+        """
+        # node arithmetic is pinned so every backend and the scalar
+        # fallback see bit-identical abscissas
+        xs = lo + (self.j * (hi - lo)) / self.sections
+        fs = self._evaluate(xs)
+        nan = np.isnan(fs)
+        first_nan = nan.argmax()
+        if nan[first_nan]:
+            raise EvaluationError(f"f({xs[first_nan]}) is NaN")
+        # every point before the leftmost change has the sign of f(lo),
+        # so that change is the first point whose sign differs from it
+        if f_lo > 0.0:
+            departs = fs <= 0.0
+        elif f_lo < 0.0:
+            departs = fs >= 0.0
+        else:
+            departs = fs != 0.0
+        k = int(departs.argmax())
+        if departs[k]:
+            x, fx = float(xs[k]), float(fs[k])
+        elif sign(f_hi) != sign(f_lo):
+            k, x, fx = self.sections - 1, hi, f_hi
+        else:
+            raise NoSignChangeError(
+                "no adjacent evaluation pair changes sign; "
+                "is the function deterministic?"
+            )
+        if k > 0:
+            lo, f_lo = float(xs[k - 1]), float(fs[k - 1])
+        exact = x if fx == 0.0 else lo if f_lo == 0.0 else None
+        return xs, fs, (lo, x, f_lo, fx), exact
 
 
 def multisect_step(
@@ -301,8 +373,10 @@ def multisect_step(
         f_hi = float(f(interval.hi))
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise EvaluationError("endpoint function value is NaN")
-    record, _, _ = _step(interval, f, sections, index, f_lo, f_hi)
-    return record
+    xs, fs, (lo, hi, _, _), exact = _Stepper(f, sections).step(
+        interval.lo, interval.hi, f_lo, f_hi
+    )
+    return _record(index, interval, xs, fs, lo, hi, exact)
 
 
 def predicted_max_iterations(
@@ -335,7 +409,7 @@ def solve(
     *,
     backend: Optional[str] = None,
 ) -> SolveResult:
-    """Drive :func:`multisect_step` to convergence.
+    """Run N-section passes to convergence.
 
     ``backend`` selects the evaluation engine: "numpy" (the reference
     path below), "numba" (a compiled kernel producing the same records),
@@ -366,80 +440,49 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
     tol = options.width_tolerance
     rtol = options.residual_tolerance
 
-    f_lo, f_hi, s_lo, s_hi = _validate_endpoints(problem)
-    evaluations = 2
-    if s_lo == 0 or s_hi == 0:
-        root = problem.bracket.lo if s_lo == 0 else problem.bracket.hi
-        return SolveResult(
-            root=root,
-            residual=0.0,
-            iterations=0,
-            function_evaluations=evaluations,
-            trace=(),
-            termination=Termination.EXACT_ZERO,
-        )
+    f_lo, f_hi, done = _validate_endpoints(f, problem.bracket)
+    if done is not None:
+        return done
 
     cap = options.max_iterations
     if cap is None:
         cap = predicted_max_iterations(problem.bracket, tol, sections) + 2
-
-    current = problem.bracket
-    w = current.width
-    iterations = 0
-    trace: list[IterationRecord] = []
+    stepper = _Stepper(f, sections)
+    lo, hi = problem.bracket.lo, problem.bracket.hi
+    w = hi - lo
+    steps = Steps(problem.bracket, [], [], [], [])
 
     while True:
-        if w <= tol:
-            termination = Termination.WIDTH_REACHED
-            root = current.midpoint()
+        if w <= tol or len(steps.chosen_lo) >= cap:
+            termination = (Termination.WIDTH_REACHED if w <= tol
+                           else Termination.MAX_ITERATIONS)
+            root = lo + (hi - lo) / 2.0
             residual = float(f(root))  # diagnostic probe, not counted
             break
-        if iterations >= cap:
-            termination = Termination.MAX_ITERATIONS
-            root = current.midpoint()
-            residual = float(f(root))
-            break
 
-        record, nf_lo, nf_hi = _step(
-            current, f, sections, iterations + 1, f_lo, f_hi
-        )
-        iterations += 1
-        evaluations += sections - 1
+        xs, fs, (lo, hi, f_lo, f_hi), exact = stepper.step(lo, hi, f_lo, f_hi)
+        steps.nodes_x.append(xs)
+        steps.nodes_f.append(fs)
+        steps.chosen_lo.append(lo)
+        steps.chosen_hi.append(hi)
         w /= sections
-        trace.append(record)
 
-        if record.exact_root is not None:
-            return SolveResult(
-                root=record.exact_root,
-                residual=0.0,
-                iterations=iterations,
-                function_evaluations=evaluations,
-                trace=tuple(trace),
-                termination=Termination.EXACT_ZERO,
-            )
-
+        if exact is not None:
+            termination, root, residual = Termination.EXACT_ZERO, exact, 0.0
+            break
         if rtol > 0.0:
-            best_x, best_f = min(
-                record.evaluated_nodes, key=lambda pair: abs(pair[1])
-            )
-            if abs(best_f) <= rtol:
-                return SolveResult(
-                    root=best_x,
-                    residual=best_f,
-                    iterations=iterations,
-                    function_evaluations=evaluations,
-                    trace=tuple(trace),
-                    termination=Termination.RESIDUAL_REACHED,
-                )
+            best = int(np.abs(fs).argmin())  # the first of equal minima
+            if abs(fs[best]) <= rtol:
+                termination = Termination.RESIDUAL_REACHED
+                root, residual = float(xs[best]), float(fs[best])
+                break
 
-        current = record.chosen_subinterval
-        f_lo, f_hi = nf_lo, nf_hi
-
+    iterations = len(steps.chosen_lo)
     return SolveResult(
         root=root,
         residual=residual,
         iterations=iterations,
-        function_evaluations=evaluations,
-        trace=tuple(trace),
+        function_evaluations=2 + (sections - 1) * iterations,
         termination=termination,
+        steps=steps,
     )

@@ -25,6 +25,7 @@ from multisection import (
     resolve_backend,
     solve,
 )
+from multisection import kernels
 
 ENV = "MULTISECTION_BACKEND"
 
@@ -132,6 +133,53 @@ class TestParity:
                       bracket=Interval(0.0, 1.0))
         with pytest.raises(EvaluationError):
             solve(bad, backend="numba")
+
+
+class _InterpretedNumba:
+    """Stands in for numba with ``njit`` as the identity, so the compiled
+    backend's kernel runs as plain Python."""
+
+    class core:
+        class errors:
+            class NumbaError(Exception):
+                pass
+
+    @staticmethod
+    def njit(*args, **kwargs):
+        return lambda fn: fn
+
+
+class TestInterpretedKernel:
+    """The numba kernel's logic, run uncompiled: its results, trace
+    included, must equal the numpy path's record for record."""
+
+    @pytest.fixture(autouse=True)
+    def interpreted_numba(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_numba_module", _InterpretedNumba)
+        monkeypatch.setattr(kernels, "_probed", True)
+        monkeypatch.setattr(kernels, "_jit_cache", {})
+        monkeypatch.setattr(kernels, "_kernel_cache", {})
+
+    @pytest.mark.parametrize("sections", [2, 3, 5, 81])
+    def test_corpus_matches_numpy_path(self, sections):
+        options = SolveOptions(sections=sections)
+        for problem in corpus():
+            compiled = solve(problem, options, backend="numba")
+            reference = solve(problem, options, backend="numpy")
+            assert compiled.trace == reference.trace
+            assert compiled == reference
+
+    def test_residual_and_cap_stops(self):
+        for options in (SolveOptions(sections=3, residual_tolerance=1e-6),
+                        SolveOptions(sections=2, max_iterations=5)):
+            compiled = solve(corpus()[2], options, backend="numba")
+            assert compiled == solve(corpus()[2], options, backend="numpy")
+
+    def test_endpoint_zero(self):
+        p = Problem(id="zero-lo", f=lambda x: x, bracket=Interval(0.0, 1.0))
+        result = solve(p, backend="numba")
+        assert result.termination is Termination.EXACT_ZERO
+        assert result.trace == ()
 
 
 @needs_numba

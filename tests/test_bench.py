@@ -43,14 +43,16 @@ def line_samples(m, c, ns, loop_count=1000):
 
 
 class CountingRunner:
-    """Records every timed_loops call; 1 microsecond per loop."""
+    """Records every timed_loops call and its N; 1 microsecond per loop."""
 
     def __init__(self, resolution=0.0):
         self.resolution = resolution
         self.calls = []
+        self.sections = []
 
     def timed_loops(self, problem, options, target_loops):
         self.calls.append(target_loops)
+        self.sections.append(options.sections)
         return target_loops, target_loops * 1e-6
 
     def timed_solves(self, problem, options, count):
@@ -186,6 +188,19 @@ class TestMeasureLoopTime:
         assert len(runner.calls) == 11       # plus ten timed batches
         assert sample.loop_count == 100      # warmup loops not counted
 
+    def test_two_slowest_batches_left_out_of_the_mean(self):
+        class StallingRunner(CountingRunner):
+            def timed_loops(self, problem, options, target_loops):
+                loops, elapsed = super().timed_loops(problem, options, target_loops)
+                stalled = len(self.calls) in (4, 9)  # two of the timed batches
+                return loops, elapsed * (1000.0 if stalled else 1.0)
+
+        sample = measure_loop_time(corpus()[2], 4, min_loops=100,
+                                   warmup_loops=7, runner=StallingRunner())
+        assert sample.mean_loop_seconds == 1e-6
+        assert sample.loop_count == 100
+        assert sample.stddev_loop_seconds > 1e-4
+
     def test_no_warmup_when_zero(self):
         runner = CountingRunner()
         measure_loop_time(corpus()[2], 4, min_loops=100, warmup_loops=0,
@@ -230,6 +245,16 @@ class TestSweep:
         samples = sweep(config, SyntheticRunner(2e-9, 5e-7))
         assert len(samples) == 249
         assert [s.N for s in samples] == list(range(2, 251))
+
+    def test_interleaves_n(self):
+        runner = CountingRunner()
+        config = SweepConfig(problem=corpus()[2], n_values=[9, 2, 5],
+                             min_loops=100, warmup_loops=7)
+        samples = sweep(config, runner)
+        # every warmup first, then ten rounds that each visit every N once
+        assert runner.sections == [2, 5, 9] * 11
+        assert runner.calls == [7] * 3 + [10] * 30
+        assert [s.loop_count for s in samples] == [100] * 3
 
     def test_sorts_and_dedupes(self):
         config = SweepConfig(problem=corpus()[2], n_values=[81, 2, 81],

@@ -15,6 +15,7 @@ from multisection import (
     NoSignChangeError,
     Problem,
     SolveOptions,
+    SolveResult,
     Termination,
     corpus,
     multisect_step,
@@ -22,6 +23,7 @@ from multisection import (
     solve,
     validate_bracket,
 )
+from multisection.solver import Steps
 
 MU = 2.0 ** -52
 
@@ -82,6 +84,12 @@ class TestTypes:
         dict(width_tolerance=-1e-10),
         dict(residual_tolerance=-1.0),
         dict(max_iterations=-1),
+        dict(sections=2.5),
+        dict(sections=True),
+        dict(max_iterations=2.5),
+        dict(max_iterations=True),
+        dict(residual_tolerance=math.nan),
+        dict(residual_tolerance=math.inf),
     ])
     def test_options_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -362,6 +370,44 @@ class TestBisectionEquivalence:
             assert solver_nodes == reference_nodes
 
 
+def textbook_multisection(problem, sections):
+    """Independent N-section replay: scalar f, a list scan for the leftmost
+    sign change, the same tracked width.  One (nodes, values, chosen lo,
+    chosen hi) tuple per iteration."""
+    def sgn(v):
+        return (v > 0) - (v < 0)
+
+    f = problem.f
+    lo, hi = problem.bracket.lo, problem.bracket.hi
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    steps = []
+    w = hi - lo
+    while w > MU:
+        span = hi - lo
+        xs = [lo + (j * span) / sections for j in range(1, sections)]
+        fs = [float(f(x)) for x in xs]
+        pts = list(zip([lo, *xs, hi], [f_lo, *fs, f_hi]))
+        k = next(k for k in range(1, len(pts)) if sgn(pts[k][1]) != sgn(pts[k - 1][1]))
+        (lo, f_lo), (hi, f_hi) = pts[k - 1], pts[k]
+        steps.append((xs, fs, lo, hi))
+        w /= sections
+        if f_lo == 0.0 or f_hi == 0.0:
+            break
+    return steps
+
+
+class TestMultisectionOracle:
+    @pytest.mark.parametrize("sections", [3, 10, 250, 4096])
+    def test_matches_textbook_replay_node_for_node(self, sections):
+        for problem in corpus():
+            expected = textbook_multisection(problem, sections)
+            trace = solve(problem, SolveOptions(sections=sections)).trace
+            assert len(trace) == len(expected)
+            for record, (xs, fs, lo, hi) in zip(trace, expected):
+                assert record.evaluated_nodes == tuple(zip(xs, fs))
+                assert record.chosen_subinterval == Interval(lo, hi)
+
+
 class TestScalarFallback:
     def test_scalar_only_function_matches_vectorized(self):
         """A function that rejects arrays must give a bit-identical solve."""
@@ -380,12 +426,49 @@ class TestScalarFallback:
         assert [r.evaluated_nodes for r in result.trace] == \
                [r.evaluated_nodes for r in reference.trace]
 
+    def test_array_rejection_is_decided_once_per_solve(self):
+        calls = {"array": 0, "scalar": 0}
+
+        def scalar_only(x):
+            if isinstance(x, np.ndarray):
+                calls["array"] += 1
+                raise TypeError("scalar-only function")
+            calls["scalar"] += 1
+            return float(np.exp(x)) - 2.0 - x
+
+        p = Problem(id="scalar-exp-gap", f=scalar_only, bracket=Interval(1.0, 4.0))
+        result = solve(p, SolveOptions(sections=5))
+        assert result.termination is Termination.WIDTH_REACHED
+        assert result.function_evaluations == 98
+        assert calls == {"array": 1, "scalar": 98 + 1}  # + the residual probe
+
 
 class TestDeterminism:
     def test_repeat_solves_identical(self):
         for problem in corpus():
             options = SolveOptions(sections=10)
             assert solve(problem, options) == solve(problem, options)
+
+
+class TestTrace:
+    def test_built_once_and_cached(self):
+        result = solve(corpus()[2], SolveOptions(sections=4))
+        assert result.trace is result.trace
+
+    def test_equality_and_hash_include_the_trace(self):
+        options = SolveOptions(sections=10)
+        a, b = solve(corpus()[0], options), solve(corpus()[0], options)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # same fields, one iteration's node values changed: a different trace
+        bracket, nodes_x, nodes_f, chosen_lo, chosen_hi = b.steps
+        altered = [fs.copy() for fs in nodes_f]
+        altered[0][0] = -altered[0][0]
+        c = SolveResult(a.root, a.residual, a.iterations, a.function_evaluations,
+                        a.termination,
+                        Steps(bracket, nodes_x, altered, chosen_lo, chosen_hi))
+        assert c != a
+        assert c.trace[1:] == a.trace[1:]
 
 
 class TestLinearProperties:
