@@ -5,12 +5,12 @@ number of loop iterations executed, rather than reading the clock inside
 the loop — per-loop clock reads would perturb exactly the quantity being
 measured.  Each sample accumulates at least ``min_loops`` iterations
 (default 1000), split over ten internally timed batches whose spread
-gives the recorded dispersion and whose two slowest are left out of the
-mean; a warmup block is run first and discarded to absorb cache and
-frequency ramp.  A sweep over several N interleaves
-them: the warmups at every N, then ten rounds in which each N runs one
-batch, so a drift in the host's speed spreads over all N instead of
-tilting the fitted slope.  ``residual_tolerance`` is forced to
+gives the recorded dispersion and whose fastest half gives the mean; a
+warmup block is run first and discarded to absorb cache and frequency
+ramp.  A sweep over several N interleaves them: the warmups at every N,
+then ten rounds in which each N runs one batch, each round in its own
+seeded shuffled order, so a drift in the host's speed spreads over all N
+instead of tilting the fitted slope.  ``residual_tolerance`` is forced to
 0 so every solve runs its full iteration count and every loop performs
 exactly N - 1 evaluations, keeping loop cost homogeneous with the
 ``t = m*N + c`` model being fitted.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
+import random
 import statistics
 import time
 from collections.abc import Sequence
@@ -40,7 +40,13 @@ from typing import Optional, Protocol
 
 from .errors import ClockError, DegenerateError, DomainError, FitError
 from .model import CostModel, EfficiencyReport, ProblemScale, efficiency_report
-from .solver import Problem, SolveOptions, predicted_max_iterations, solve
+from .solver import (
+    Problem,
+    SolveOptions,
+    check_sections,
+    predicted_max_iterations,
+    solve,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -66,12 +72,12 @@ CSV_HEADER = "N,mean_loop_seconds,stddev_loop_seconds,loop_count"
 
 _N_BATCHES = 10
 
-#: Batches per sample left out of its mean: the slowest ones.  Another
-#: process that stalls this one for a few milliseconds lands in one
-#: batch of about a millisecond and only ever adds time; kept in, one
-#: such batch can flatten or invert the fitted slope once the per-node
-#: cost is a few nanoseconds.
-_DROPPED_BATCHES = 2
+#: Batches per sample that make its mean: the fastest ones.  A stall of
+#: a few milliseconds lands in one batch of about a millisecond, and a
+#: host that flips between two speeds for a stretch of a round slows
+#: several; both only ever add time, and kept in they can flatten or
+#: invert the fitted slope once the per-node cost is a few nanoseconds.
+_KEPT_BATCHES = _N_BATCHES // 2
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.n_values:
             raise DomainError("n_values must be nonempty")
-        bad = [n for n in self.n_values if n < 2]
-        if bad:
-            raise DomainError(f"every n_value must be >= 2, found {bad[0]}")
+        for n in self.n_values:
+            check_sections(n, "every n_value")
         if self.min_loops < 1:
             raise DomainError(f"min_loops must be >= 1, got {self.min_loops}")
         if self.warmup_loops < 0:
@@ -231,14 +236,13 @@ def measure_loop_time(
 
     Runs (and discards) a warmup block, then ten timed batches totalling
     at least ``min_loops`` loop iterations.  The mean is total elapsed
-    over total loops of all batches but the two slowest; the recorded
+    over total loops of the fastest half of the batches; the recorded
     dispersion is the sample standard deviation of all ten per-batch
     means, and ``loop_count`` counts every timed loop.  Raises
     :class:`ClockError` when the clock's resolution exceeds 1% of the
     measured span.
     """
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
+    check_sections(N, "N")
     return _measure(problem, [N], min_loops, warmup_loops, runner)[0]
 
 
@@ -251,10 +255,14 @@ def _measure(
 ) -> list[TimingSample]:
     """One TimingSample per N in ``ns``, measured interleaved: the warmup
     at every N first, then ten rounds in which each N runs one batch.
+    Round k visits the N in the order ``random.Random(k)`` shuffles them
+    to.
 
     A step in the host's speed partway through then lands on every N
     alike instead of on the N measured after it, which would tilt the
-    fitted slope (and with a per-node cost this small, flip its sign).
+    fitted slope (and with a per-node cost this small, flip its sign);
+    the shuffle keeps a slow stretch of a round from falling on the same
+    N in every round.
     """
     if runner is None:
         runner = WallClockRunner()
@@ -265,8 +273,10 @@ def _measure(
 
     batch_target = -(-min_loops // _N_BATCHES)
     batches: list[list[tuple[int, float]]] = [[] for _ in ns]
-    for _ in range(_N_BATCHES):
-        for opts, timed in zip(options, batches):
+    for round_index in range(_N_BATCHES):
+        visits = list(zip(options, batches))
+        random.Random(round_index).shuffle(visits)
+        for opts, timed in visits:
             timed.append(runner.timed_loops(problem, opts, batch_target))
 
     samples = []
@@ -277,7 +287,7 @@ def _measure(
                 f"clock resolution {runner.resolution}s exceeds 1% of the "
                 f"measured span {total_elapsed}s; increase min_loops"
             )
-        kept = sorted(timed, key=lambda t: t[1] / t[0])[:-_DROPPED_BATCHES]
+        kept = sorted(timed, key=lambda t: t[1] / t[0])[:_KEPT_BATCHES]
         batch_means = [elapsed / loops for loops, elapsed in timed]
         samples.append(TimingSample(
             N=n,
@@ -291,8 +301,8 @@ def _measure(
 
 def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[TimingSample]:
     """One TimingSample per configured N, with the N interleaved: every
-    round of batches visits each N once (see :func:`measure_loop_time`
-    for what one sample holds).
+    round of batches visits each N once, in a seeded shuffled order (see
+    :func:`measure_loop_time` for what one sample holds).
 
     Duplicate N values are measured once; output is sorted by N.
     """
@@ -316,7 +326,8 @@ def fit_linear(samples: Sequence[TimingSample]) -> LinearFit:
     should treat such fits as low-confidence).  Raises
     :class:`DegenerateError` when all N coincide and :class:`FitError`
     when the fitted m or c is non-positive, which flags an unusable
-    calibration rather than letting a nonsensical R propagate.
+    calibration rather than letting a nonsensical R propagate; the error
+    carries the samples, so a caller can keep the measurement.
     """
     if len(samples) < 2:
         raise DomainError(f"need at least 2 samples, got {len(samples)}")
@@ -337,7 +348,8 @@ def fit_linear(samples: Sequence[TimingSample]) -> LinearFit:
     if m <= 0 or c <= 0:
         raise FitError(
             f"non-physical fit: m={float(m):.3e}, c={float(c):.3e} "
-            "(both must be positive)"
+            "(both must be positive)",
+            samples=tuple(samples),
         )
 
     y_bar = sy / count
@@ -372,7 +384,8 @@ def calibrate(
     solves at N=2 and at the fitted n_min_integer is measured and their
     ratio recorded beside the predicted rel_eff — prediction and
     measurement come from the same host minutes apart, which is the only
-    comparison that transfers across machines.
+    comparison that transfers across machines.  When the fit is unusable,
+    the :class:`FitError` carries the sweep's samples.
     """
     if runner is None:
         runner = WallClockRunner()
@@ -382,9 +395,9 @@ def calibrate(
     fit = fit_linear(samples)
 
     scale = ProblemScale(width=problem.bracket.width)
-    n_top = max(max(config.n_values), 2)
     report = efficiency_report(
-        CostModel(m=fit.m, c=fit.c), scale, n_range=range(2, n_top + 1)
+        CostModel(m=fit.m, c=fit.c), scale,
+        n_range=range(2, max(config.n_values) + 1),
     )
 
     t_2 = per_solve_seconds(problem, 2, runner)

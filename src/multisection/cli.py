@@ -37,9 +37,7 @@ from .bench import (
     SweepConfig,
     SyntheticRunner,
     WallClockRunner,
-    fit_linear,
-    per_solve_seconds,
-    sweep,
+    calibrate,
     write_sweep_csv,
 )
 from .convergence import (
@@ -57,15 +55,7 @@ from .errors import (
     FitError,
     MultisectionError,
 )
-from .model import (
-    CostModel,
-    ProblemScale,
-    efficiency_report,
-    n_min_integer,
-    n_min_real,
-    rel_eff,
-    total_time,
-)
+from .model import CostModel, ProblemScale, efficiency_report
 from .solver import Interval, Problem, SolveOptions, solve
 
 logger = logging.getLogger(__name__)
@@ -286,42 +276,34 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "backend": args.backend,
     }
 
-    samples = sweep(config, runner)
-    write_sweep_csv(samples, csv_path)  # before the fit: kept even if it fails
     try:
-        fit = fit_linear(samples)
+        result = calibrate(problem, config, runner)
     except FitError as exc:
+        write_sweep_csv(exc.samples, csv_path)  # the sweep outlives the fit
         _write_manifest(manifest_path, "calibrate", config_echo, [csv_path])
         print(f"multisection calibrate: unusable fit: {exc}", file=sys.stderr)
         print(f"sweep data kept at {csv_path}", file=sys.stderr)
         return EXIT_FIT
 
-    scale = ProblemScale(width=problem.bracket.width)
-    n_top = max(max(config.n_values), 2)
-    report = efficiency_report(
-        CostModel(m=fit.m, c=fit.c), scale, n_range=range(2, n_top + 1)
-    )
-    t_2 = per_solve_seconds(problem, 2, runner)
-    t_min = per_solve_seconds(problem, report.n_min_integer, runner)
-    measured_ratio = t_min / t_2
-
+    write_sweep_csv(result.samples, csv_path)
+    report, fit = result.report, result.fit
     report_path.write_text(json.dumps({
         "R": report.R,
         "n_min_real": report.n_min_real,
         "n_min_integer": report.n_min_integer,
         "rel_eff": report.rel_eff,
         "r_squared": fit.r_squared,
-        "measured_ratio": measured_ratio,
+        "measured_ratio": result.measured_ratio,
     }, indent=2) + "\n")
     _write_manifest(manifest_path, "calibrate", config_echo, [csv_path, report_path])
 
     low_confidence = " (low-confidence: 2-point fit, r²=1 by construction)" \
-        if len(samples) < 3 else ""
+        if len(result.samples) < 3 else ""
     print(
         f"{problem.id}  [{problem.bracket.lo:g}, {problem.bracket.hi:g}]  "
         f"R={report.R:.3e}  N_min={report.n_min_integer}  "
         f"r²={fit.r_squared:.3f}  RelEff={report.rel_eff:.3f}  "
-        f"measured_ratio={measured_ratio:.3f}{low_confidence}"
+        f"measured_ratio={result.measured_ratio:.3f}{low_confidence}"
     )
     print(f"wrote {csv_path}, {report_path}, {manifest_path}")
     return EXIT_OK
@@ -338,27 +320,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         cost = CostModel(m=args.m, c=args.c)
     scale = ProblemScale(width=args.width, mu=args.mu)
-
-    ratio = cost.ratio
-    real = n_min_real(ratio)
-    integer = n_min_integer(ratio, cost, scale)
-    eff = rel_eff(ratio)
+    # only --curve writes the curve; it checks --n-max after the summary
+    n_top = max(args.n_max, 2) if args.curve is not None else 2
+    report = efficiency_report(cost, scale, n_range=range(2, n_top + 1))
 
     payload = {
-        "R": ratio,
-        "n_min_real": real,
-        "n_min_integer": integer,
-        "rel_eff": eff,
-        "t_t_at_2": total_time(2, cost, scale),
-        "t_t_at_min": total_time(integer, cost, scale),
+        "R": report.R,
+        "n_min_real": report.n_min_real,
+        "n_min_integer": report.n_min_integer,
+        "rel_eff": report.rel_eff,
+        "t_t_at_2": report.t_t_at_2,
+        "t_t_at_min": report.t_t_at_min,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print(f"R = {ratio!r}")
-        print(f"n_min_real = {real!r}")
-        print(f"n_min_integer = {integer}")
-        print(f"rel_eff = {eff!r}")
+        print(f"R = {report.R!r}")
+        print(f"n_min_real = {report.n_min_real!r}")
+        print(f"n_min_integer = {report.n_min_integer}")
+        print(f"rel_eff = {report.rel_eff!r}")
 
     if args.curve is not None:
         if args.n_max < 2:
@@ -366,12 +346,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         curve_path = Path(args.curve)
         with open(curve_path, "w") as handle:
             handle.write("N,t_t_seconds\n")
-            for n in range(2, args.n_max + 1):
-                handle.write(f"{n},{total_time(n, cost, scale)!r}\n")
+            for n, t_t in report.curve:
+                handle.write(f"{n},{t_t!r}\n")
         manifest_path = curve_path.with_name(curve_path.name + ".manifest.json")
         _write_manifest(
             manifest_path, "predict",
-            {"R": ratio, "m": cost.m, "c": cost.c,
+            {"R": report.R, "m": cost.m, "c": cost.c,
              "width": scale.width, "mu": scale.mu, "n_max": args.n_max},
             [curve_path],
         )

@@ -28,10 +28,11 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .errors import BoundViolation, DomainError
-from .solver import Problem, SolveOptions, solve
+from .solver import Problem, SolveOptions, check_sections, solve, widths
 
 __all__ = [
     "BoundSequence",
@@ -73,25 +74,18 @@ class BoundSequence:
     def __post_init__(self) -> None:
         if not (self.initial_width > 0.0 and math.isfinite(self.initial_width)):
             raise DomainError(f"initial_width must be > 0, got {self.initial_width}")
-        if self.base < 2:
-            raise DomainError(f"base must be >= 2, got {self.base}")
+        check_sections(self.base, "base")
 
     def values(self) -> Iterator[float]:
         """Yield B_0, B_1, B_2, ... (infinite; 0.0 forever once underflowed)."""
-        w = self.initial_width
-        while True:
-            yield w
-            w /= self.base
+        return widths(self.initial_width, self.base)
 
 
 def bound_at(seq: BoundSequence, i: int) -> float:
     """B_i by i successive binary64 divisions (mirrors solver arithmetic)."""
     if i < 0:
         raise DomainError(f"index must be >= 0, got {i}")
-    w = seq.initial_width
-    for _ in range(i):
-        w /= seq.base
-    return w
+    return next(islice(seq.values(), i, None))
 
 
 def first_index_below(seq: BoundSequence, eps: float) -> int:
@@ -106,12 +100,7 @@ def first_index_below(seq: BoundSequence, eps: float) -> int:
             f"eps must satisfy 0 < eps <= initial_width, got eps={eps}, "
             f"initial_width={seq.initial_width}"
         )
-    w = seq.initial_width
-    i = 0
-    while w > eps:
-        w /= seq.base
-        i += 1
-    return i
+    return next(i for i, b in enumerate(seq.values()) if b <= eps)
 
 
 def underflow_exponent(width: float, *, flush_subnormals: bool = False) -> int:
@@ -125,15 +114,11 @@ def underflow_exponent(width: float, *, flush_subnormals: bool = False) -> int:
     """
     if not (width > 0.0 and math.isfinite(width)):
         raise DomainError(f"width must be > 0 and finite, got {width}")
-    tiny = sys.float_info.min
-    w = width
-    z = 0
-    while w > 0.0:
-        w /= 2.0
-        if flush_subnormals and 0.0 < w < tiny:
-            w = 0.0
-        z += 1
-    return z
+    # the first halving that lands below the smallest positive value
+    # (0.0 itself) or, flushing, below the smallest normal one
+    floor = sys.float_info.min if flush_subnormals else math.ulp(0.0)
+    halvings = islice(widths(width, 2), 1, None)
+    return next(z for z, w in enumerate(halvings, 1) if w < floor)
 
 
 @dataclass(frozen=True)
@@ -179,13 +164,12 @@ def verify_error_bounds(
     allowance = QUANTIZATION_ALLOWANCE_ULPS * math.ulp(scale)
 
     margins = []
-    for record in result.trace:
+    for record, bound in zip(result.trace, islice(seq.values(), 1, None)):
         if record.exact_root is not None:
             estimate = record.exact_root
         else:
             estimate = record.chosen_subinterval.midpoint()
         err = abs(estimate - ref)
-        bound = bound_at(seq, record.index)
         margins.append(bound - err)
         if err > bound + allowance:
             raise BoundViolation(

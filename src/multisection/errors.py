@@ -48,7 +48,18 @@ class DegenerateError(MultisectionError):
 
 
 class FitError(MultisectionError):
-    """A fitted cost model came out non-physical (m <= 0 or c <= 0)."""
+    """A fitted cost model came out non-physical (m <= 0 or c <= 0).
+
+    Attributes
+    ----------
+    samples:
+        The timing samples that were fitted, so the measurement outlives
+        the failed fit.
+    """
+
+    def __init__(self, message: str, *, samples: tuple = ()):
+        super().__init__(message)
+        self.samples = samples
 
 
 class RangeError(MultisectionError):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -110,12 +110,29 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_sections(value, name: str = "sections") -> None:
+    """Raise :class:`DomainError` unless ``value`` is an integer >= 2
+    (``bool`` is not a section count)."""
+    if not (_is_int(value) and value >= 2):
+        raise DomainError(f"{name} must be an integer >= 2, got {value!r}")
+
+
+def widths(width: float, sections: int) -> Iterator[float]:
+    """Yield width, width/N, width/N/N, ... by repeated binary64 division:
+    the tracked width of a solve after 0, 1, 2, ... iterations (0.0
+    forever once it underflows)."""
+    w = width
+    while True:
+        yield w
+        w /= sections
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver knobs.
 
-    ``max_iterations`` of None means "predicted iteration count plus two",
-    a headroom cap that a correct run never hits.
+    ``max_iterations`` of None means no cap: the tracked width reaches
+    ``width_tolerance`` after :func:`predicted_max_iterations` iterations.
     """
 
     sections: int = 2
@@ -124,8 +141,7 @@ class SolveOptions:
     max_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.sections) and self.sections >= 2):
-            raise DomainError(f"sections must be an integer >= 2, got {self.sections!r}")
+        check_sections(self.sections)
         if not (self.width_tolerance > 0.0 and math.isfinite(self.width_tolerance)):
             raise DomainError(f"width_tolerance must be positive, got {self.width_tolerance}")
         if not (self.residual_tolerance >= 0.0 and math.isfinite(self.residual_tolerance)):
@@ -365,8 +381,7 @@ def multisect_step(
     across the interval.  Endpoint values can be passed in to avoid
     re-evaluation; otherwise they are computed here.
     """
-    if sections < 2:
-        raise DomainError(f"sections must be >= 2, got {sections}")
+    check_sections(sections)
     if f_lo is None:
         f_lo = float(f(interval.lo))
     if f_hi is None:
@@ -391,16 +406,11 @@ def predicted_max_iterations(
     it is the smallest M with width / N**M <= tol, up to the rounding of
     repeated division.
     """
-    if sections < 2:
-        raise DomainError(f"sections must be >= 2, got {sections}")
+    check_sections(sections)
     if not (width_tolerance > 0.0 and math.isfinite(width_tolerance)):
         raise DomainError(f"width_tolerance must be positive, got {width_tolerance}")
-    w = interval.width
-    count = 0
-    while w > width_tolerance:
-        w /= sections
-        count += 1
-    return count
+    return next(i for i, w in enumerate(widths(interval.width, sections))
+                if w <= width_tolerance)
 
 
 def solve(
@@ -444,9 +454,7 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
     if done is not None:
         return done
 
-    cap = options.max_iterations
-    if cap is None:
-        cap = predicted_max_iterations(problem.bracket, tol, sections) + 2
+    cap = math.inf if options.max_iterations is None else options.max_iterations
     stepper = _Stepper(f, sections)
     lo, hi = problem.bracket.lo, problem.bracket.hi
     w = hi - lo

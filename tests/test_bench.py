@@ -71,6 +71,8 @@ class TestSweepConfig:
         dict(n_values=(2, 1)),
         dict(min_loops=0),
         dict(warmup_loops=-1),
+        dict(n_values=(2, 2.5)),
+        dict(n_values=(2, True)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -190,16 +192,23 @@ class TestMeasureLoopTime:
 
     def test_two_slowest_batches_left_out_of_the_mean(self):
         class StallingRunner(CountingRunner):
+            def __init__(self, stalled):
+                super().__init__()
+                self.stalled = stalled
+
             def timed_loops(self, problem, options, target_loops):
                 loops, elapsed = super().timed_loops(problem, options, target_loops)
-                stalled = len(self.calls) in (4, 9)  # two of the timed batches
+                stalled = len(self.calls) in self.stalled
                 return loops, elapsed * (1000.0 if stalled else 1.0)
 
-        sample = measure_loop_time(corpus()[2], 4, min_loops=100,
-                                   warmup_loops=7, runner=StallingRunner())
-        assert sample.mean_loop_seconds == 1e-6
-        assert sample.loop_count == 100
-        assert sample.stddev_loop_seconds > 1e-4
+        # two, then four, of the ten timed batches stall
+        for stalled in ((4, 9), (2, 5, 8, 11)):
+            sample = measure_loop_time(corpus()[2], 4, min_loops=100,
+                                       warmup_loops=7,
+                                       runner=StallingRunner(stalled))
+            assert sample.mean_loop_seconds == 1e-6
+            assert sample.loop_count == 100
+            assert sample.stddev_loop_seconds > 1e-4
 
     def test_no_warmup_when_zero(self):
         runner = CountingRunner()
@@ -215,6 +224,11 @@ class TestMeasureLoopTime:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             measure_loop_time(corpus()[2], 1, runner=SyntheticRunner(1e-9, 1e-7))
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(DomainError):
+            measure_loop_time(corpus()[2], n, runner=SyntheticRunner(1e-9, 1e-7))
 
     def test_zero_iteration_solve_cannot_be_timed(self):
         p = Problem(id="zero-at-lo", f=lambda x: x, bracket=Interval(0.0, 1.0))
@@ -251,8 +265,15 @@ class TestSweep:
         config = SweepConfig(problem=corpus()[2], n_values=[9, 2, 5],
                              min_loops=100, warmup_loops=7)
         samples = sweep(config, runner)
-        # every warmup first, then ten rounds that each visit every N once
-        assert runner.sections == [2, 5, 9] * 11
+        # every warmup first, in ascending N, then ten rounds that each
+        # visit every N once, round k in the order random.Random(k)
+        # shuffles them to
+        assert runner.sections[:3] == [2, 5, 9]
+        rounds = [runner.sections[3 + 3 * k:6 + 3 * k] for k in range(10)]
+        assert rounds == [
+            [2, 9, 5], [5, 9, 2], [5, 9, 2], [5, 9, 2], [9, 5, 2],
+            [2, 5, 9], [5, 2, 9], [9, 2, 5], [9, 5, 2], [2, 9, 5],
+        ]
         assert runner.calls == [7] * 3 + [10] * 30
         assert [s.loop_count for s in samples] == [100] * 3
 
@@ -261,6 +282,42 @@ class TestSweep:
                              min_loops=50, warmup_loops=0)
         samples = sweep(config, SyntheticRunner(2e-9, 5e-7))
         assert [s.N for s in samples] == [2, 81]
+
+
+class SlowStretchRunner(SyntheticRunner):
+    """Loop time m*N + c, except that the first third of every round's
+    timed batches take twice as long: a host that runs at half speed for
+    a stretch of each round.  Use with ``warmup_loops=0``, so that every
+    call is a timed batch and each round is ``len(n_values)`` calls."""
+
+    def __init__(self, m, c, n_count):
+        super().__init__(m, c)
+        self.n_count = n_count
+        self.batches = 0
+
+    def timed_loops(self, problem, options, target_loops):
+        loops, elapsed = super().timed_loops(problem, options, target_loops)
+        slow = self.batches % self.n_count < self.n_count / 3
+        self.batches += 1
+        return loops, elapsed * (2.0 if slow else 1.0)
+
+
+class TestHostileRunner:
+    """A slow stretch at the same point of every round must not tilt the
+    fitted line: each round visits the N in its own order, and the mean
+    keeps the fastest half of the batches."""
+
+    @pytest.mark.parametrize("n_values", [
+        (2, 3, 4, 5, 7, 10, 14, 19, 26, 36, 50, 69, 95, 131, 181, 250),
+        tuple(range(2, 251)),
+    ], ids=["16-point", "249-N"])
+    def test_fit_recovers_the_line(self, n_values):
+        config = SweepConfig(problem=corpus()[2], n_values=n_values,
+                             min_loops=100, warmup_loops=0)
+        runner = SlowStretchRunner(2e-9, 5e-7, len(n_values))
+        fit = fit_linear(sweep(config, runner))
+        assert abs(fit.m - 2e-9) <= 0.1 * 2e-9
+        assert abs(fit.c - 5e-7) <= 0.1 * 5e-7
 
 
 class TestCsvRoundTrip:

@@ -58,6 +58,11 @@ class TestBoundSequence:
         with pytest.raises(DomainError):
             BoundSequence(1.0, 1)
 
+    @pytest.mark.parametrize("base", [2.5, True])
+    def test_rejects_non_integer_base(self, base):
+        with pytest.raises(DomainError, match=">= 2"):
+            BoundSequence(1.0, base)
+
     def test_halving_never_overshoots(self):
         # each term is the previous divided once in binary64, so the
         # drop factor is exact-to-rounding all the way into subnormals

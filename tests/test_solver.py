@@ -173,6 +173,12 @@ class TestMultisectStep:
         with pytest.raises(DomainError):
             multisect_step(Interval(0.0, 1.0), lambda x: x - 0.5, 1)
 
+    @pytest.mark.parametrize("sections", [2.5, True])
+    def test_rejects_non_integer_sections(self, sections):
+        # 2.5 would otherwise place nodes at j/2.5 = 0.4 and 0.8
+        with pytest.raises(DomainError, match=">= 2"):
+            multisect_step(Interval(0.0, 1.0), lambda x: x - 0.5, sections)
+
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChangeError):
             multisect_step(Interval(0.0, 1.0), lambda x: x + 1.0, 4)
@@ -189,6 +195,11 @@ class TestPredictedIterations:
             predicted_max_iterations(Interval(0.0, 1.0), MU, 1)
         with pytest.raises(DomainError):
             predicted_max_iterations(Interval(0.0, 1.0), 0.0, 2)
+
+    @pytest.mark.parametrize("sections", [2.5, True])
+    def test_rejects_non_integer_sections(self, sections):
+        with pytest.raises(DomainError, match=">= 2"):
+            predicted_max_iterations(Interval(0.0, 1.0), MU, sections)
 
     def test_wide_tolerance_means_zero_iterations(self):
         assert predicted_max_iterations(Interval(0.0, 1.0), 2.0, 2) == 0
