@@ -150,9 +150,12 @@ def verify_error_bounds(
 
     p_i is the estimate the solver would report after iteration i: the
     chosen subinterval's midpoint, or the exact-zero node when the
-    iteration hit one.  Raises :class:`BoundViolation` if any iteration
-    exceeds its bound by more than the quantization allowance; that
-    signals a solver bug, not numerical noise.
+    iteration hit one.  Both come from the solve's raw steps (the chosen
+    ends and the root of an ExactZero stop), so no trace is built; the
+    margins are Python floats on every backend.  Raises
+    :class:`BoundViolation` if any iteration exceeds its bound by more
+    than the quantization allowance; that signals a solver bug, not
+    numerical noise.
     """
     if problem.reference_root is None:
         raise DomainError(f"problem {problem.id!r} has no reference_root")
@@ -164,19 +167,18 @@ def verify_error_bounds(
     allowance = QUANTIZATION_ALLOWANCE_ULPS * math.ulp(scale)
 
     margins = []
-    for record, bound in zip(result.trace, islice(seq.values(), 1, None)):
-        if record.exact_root is not None:
-            estimate = record.exact_root
-        else:
-            estimate = record.chosen_subinterval.midpoint()
+    bounds = islice(seq.values(), 1, None)
+    for i, ((lo, hi, exact), bound) in enumerate(zip(result._chosen(), bounds), 1):
+        # the chosen subinterval's midpoint, as Interval.midpoint computes it
+        estimate = lo + (hi - lo) / 2.0 if exact is None else exact
         err = abs(estimate - ref)
         margins.append(bound - err)
         if err > bound + allowance:
             raise BoundViolation(
-                f"problem {problem.id!r}, N={sections}: |p_{record.index} - p| "
-                f"= {err} exceeds B_{record.index} = {bound} "
+                f"problem {problem.id!r}, N={sections}: |p_{i} - p| "
+                f"= {err} exceeds B_{i} = {bound} "
                 f"(+ allowance {allowance})",
-                iteration=record.index,
+                iteration=i,
                 observed=err,
                 allowed=bound + allowance,
             )

@@ -24,10 +24,18 @@ subinterval (sign 0 differs from the nonzero sign to its left), so every
 iteration record — including the last one of an exact-zero run — carries a
 genuine subinterval of 1/N the parent width.
 
-A solve keeps each iteration's node arrays and chosen endpoints as they
-are; the :class:`IterationRecord` trace is built from them on the first
-read of :attr:`SolveResult.trace`, so a caller that never reads it never
-pays for it.
+Each pass is vectorised (one call of f on the node array, numpy
+reductions for the NaN check and the sign scan) until f rejects an
+array; from then on the solve runs the same pass over Python floats,
+one call per node, with no numpy in the loop.  Both passes share the
+rules that pick the chosen subinterval, so they give bit-identical
+results whenever f returns the same bits for a float as for an array.
+
+A solve keeps each iteration's nodes, their values and the chosen
+endpoints as they are (arrays from the vectorised pass, lists from the
+scalar one); the :class:`IterationRecord` trace is built from them on
+the first read of :attr:`SolveResult.trace`, so a caller that never
+reads it never pays for it.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import ge, le, ne
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -69,7 +78,8 @@ def sign(value: float) -> int:
 
 @dataclass(frozen=True)
 class Interval:
-    """A nonempty closed interval [lo, hi] with finite endpoints."""
+    """A nonempty closed interval [lo, hi] with finite endpoints and a
+    finite width."""
 
     lo: float
     hi: float
@@ -79,6 +89,8 @@ class Interval:
             raise DomainError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise DomainError(f"interval width must be finite, got [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:
@@ -184,13 +196,23 @@ class IterationRecord:
 class Steps(NamedTuple):
     """What every backend's solve keeps to build its trace from: the
     bracket and, per iteration, the nodes, their f values and the chosen
-    subinterval's ends."""
+    subinterval's ends.
+
+    The vectorised numpy pass keeps one array of nodes and one of values
+    per iteration; a solve that fell back to calling f per node keeps
+    lists of floats; the numba backend keeps rows of 2-D arrays and
+    arrays of ends.
+    """
 
     bracket: Interval
-    nodes_x: Sequence[np.ndarray]
-    nodes_f: Sequence[np.ndarray]
+    nodes_x: Sequence[Sequence[float]]
+    nodes_f: Sequence[Sequence[float]]
     chosen_lo: Sequence[float]
     chosen_hi: Sequence[float]
+
+
+def _floats(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def _record(index: int, before: Interval, xs, fs, lo: float, hi: float,
@@ -198,7 +220,7 @@ def _record(index: int, before: Interval, xs, fs, lo: float, hi: float,
     return IterationRecord(
         index=index,
         interval_before=before,
-        evaluated_nodes=tuple(zip(xs.tolist(), fs.tolist())),
+        evaluated_nodes=tuple(zip(_floats(xs), _floats(fs))),
         chosen_subinterval=Interval(float(lo), float(hi)),
         exact_root=exact_root,
     )
@@ -225,18 +247,28 @@ class SolveResult:
     termination: Termination
     steps: Optional[Steps] = field(default=None, repr=False)
 
+    def _chosen(self) -> list[tuple[float, float, Optional[float]]]:
+        """Per iteration, the chosen subinterval's ends and the exact zero
+        the iteration hit, else None.  Only the last iteration of an
+        ExactZero stop hits one, and that zero is :attr:`root`."""
+        if self.steps is None:
+            return []
+        chosen = [(float(lo), float(hi), None)
+                  for lo, hi in zip(self.steps.chosen_lo, self.steps.chosen_hi)]
+        if chosen and self.termination is Termination.EXACT_ZERO:
+            lo, hi, _ = chosen[-1]
+            chosen[-1] = (lo, hi, self.root)
+        return chosen
+
     @cached_property
     def trace(self) -> tuple[IterationRecord, ...]:
         if self.steps is None:
             return ()
-        bracket, nodes_x, nodes_f, chosen_lo, chosen_hi = self.steps
-        exact = self.root if self.termination is Termination.EXACT_ZERO else None
         records = []
-        before = bracket
-        for i in range(len(chosen_lo)):
-            last = i == len(chosen_lo) - 1
-            record = _record(i + 1, before, nodes_x[i], nodes_f[i],
-                             chosen_lo[i], chosen_hi[i], exact if last else None)
+        before = self.steps.bracket
+        for i, (lo, hi, exact) in enumerate(self._chosen()):
+            record = _record(i + 1, before, self.steps.nodes_x[i],
+                             self.steps.nodes_f[i], lo, hi, exact)
             records.append(record)
             before = record.chosen_subinterval
         return tuple(records)
@@ -300,10 +332,14 @@ def validate_bracket(problem: Problem) -> tuple[int, int]:
 class _Stepper:
     """One N-section pass at a time for one solve.
 
-    Holds the node offsets ``j = 1 .. N-1`` and whether f takes arrays:
-    the first time f rejects an array (any exception but
-    :class:`EvaluationError`, or a result of the wrong shape), every
-    later pass calls it once per node instead.
+    A pass starts vectorised: the nodes are one array, f is called once
+    on it, and numpy finds the first NaN and the first departing node.
+    The first time f rejects an array (any exception but
+    :class:`EvaluationError`, or a result of the wrong shape), that pass
+    and every later one run over Python floats instead: the same node
+    arithmetic, one f call per node, and the nodes and their values kept
+    as lists.  Only the evaluation and the search for the first departing
+    node differ between the two; :meth:`step` holds the rules they share.
     """
 
     def __init__(self, f: Callable[[float], float], sections: int):
@@ -312,18 +348,43 @@ class _Stepper:
         self.j = np.arange(1, sections, dtype=np.float64)
         self.vectorized = True
 
-    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
-        if self.vectorized:
-            try:
-                fs = np.asarray(self.f(xs), dtype=np.float64)
-                if fs.shape == xs.shape:
-                    return fs
-            except EvaluationError:
-                raise
-            except Exception:
-                pass
+    def _vector_pass(self, lo: float, hi: float, departs: Callable):
+        """The nodes, their f values, and the index of the first node that
+        departs, or None; the scalar pass's result once f rejects the
+        array."""
+        # node arithmetic is pinned so every backend and the scalar pass
+        # see bit-identical abscissas
+        xs = lo + (self.j * (hi - lo)) / self.sections
+        try:
+            fs = np.asarray(self.f(xs), dtype=np.float64)
+        except EvaluationError:
+            raise
+        except Exception:
+            fs = None
+        if fs is None or fs.shape != xs.shape:
             self.vectorized = False
-        return np.array([float(self.f(x)) for x in xs.tolist()], dtype=np.float64)
+            return self._scalar_pass(lo, hi, departs)
+        nan = np.isnan(fs)
+        first_nan = nan.argmax()
+        if nan[first_nan]:
+            raise EvaluationError(f"f({xs[first_nan]}) is NaN")
+        hits = departs(fs, 0.0)
+        k = int(hits.argmax())
+        return xs, fs, k if hits[k] else None
+
+    def _scalar_pass(self, lo: float, hi: float, departs: Callable):
+        """:meth:`_vector_pass` over Python floats, with lists for arrays."""
+        span, n, f = hi - lo, self.sections, self.f
+        # the vectorised pass's three node operations, in the same order
+        xs = [lo + (j * span) / n for j in range(1, n)]
+        fs = [float(f(x)) for x in xs]
+        if any(map(math.isnan, fs)):
+            first_nan = next(x for x, fx in zip(xs, fs) if math.isnan(fx))
+            raise EvaluationError(f"f({first_nan}) is NaN")
+        for k, fx in enumerate(fs):
+            if departs(fx, 0.0):
+                return xs, fs, k
+        return xs, fs, None
 
     def step(self, lo: float, hi: float, f_lo: float, f_hi: float):
         """Evaluate the nodes of [lo, hi] and pick the leftmost pair of
@@ -334,24 +395,15 @@ class _Stepper:
         from any nonzero neighbor and is the exact root.  Raises
         :class:`NoSignChangeError` when every pair matches.
         """
-        # node arithmetic is pinned so every backend and the scalar
-        # fallback see bit-identical abscissas
-        xs = lo + (self.j * (hi - lo)) / self.sections
-        fs = self._evaluate(xs)
-        nan = np.isnan(fs)
-        first_nan = nan.argmax()
-        if nan[first_nan]:
-            raise EvaluationError(f"f({xs[first_nan]}) is NaN")
-        # every point before the leftmost change has the sign of f(lo),
-        # so that change is the first point whose sign differs from it
-        if f_lo > 0.0:
-            departs = fs <= 0.0
-        elif f_lo < 0.0:
-            departs = fs >= 0.0
+        # every point before the leftmost change has the sign of f(lo), so
+        # that change ends at the first node k that passes departs(f, 0.0)
+        # (the operator applies to one float or elementwise to an array)
+        departs = le if f_lo > 0.0 else ge if f_lo < 0.0 else ne
+        if self.vectorized:
+            xs, fs, k = self._vector_pass(lo, hi, departs)
         else:
-            departs = fs != 0.0
-        k = int(departs.argmax())
-        if departs[k]:
+            xs, fs, k = self._scalar_pass(lo, hi, departs)
+        if k is not None:
             x, fx = float(xs[k]), float(fs[k])
         elif sign(f_hi) != sign(f_lo):
             k, x, fx = self.sections - 1, hi, f_hi

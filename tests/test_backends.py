@@ -24,6 +24,7 @@ from multisection import (
     corpus,
     resolve_backend,
     solve,
+    verify_error_bounds,
 )
 from multisection import kernels
 
@@ -180,6 +181,14 @@ class TestInterpretedKernel:
         result = solve(p, backend="numba")
         assert result.termination is Termination.EXACT_ZERO
         assert result.trace == ()
+
+    @pytest.mark.parametrize("sections", [2, 10])
+    def test_verify_reads_the_kernels_arrays(self, sections):
+        for problem in corpus():
+            compiled = verify_error_bounds(problem, sections, backend="numba")
+            reference = verify_error_bounds(problem, sections, backend="numpy")
+            assert compiled == reference
+            assert all(type(m) is float for m in compiled.margins)
 
 
 @needs_numba

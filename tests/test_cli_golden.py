@@ -10,6 +10,8 @@ so only their command, config and outputs are pinned.
 import json
 from pathlib import Path
 
+import pytest
+
 from multisection.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,3 +96,10 @@ class TestCalibrateGolden:
         assert config["n_values"] == [2, 100, 250]
         assert config["synthetic"] == [-1e-9, 5e-7]
         assert outputs == [str(out_dir / "sweep.csv")]
+
+
+class TestAppendixGolden:
+    @pytest.mark.parametrize("sections", ["2", "10"])
+    def test_stdout(self, capsys, sections):
+        code, out, err = run(capsys, "appendix", "--width", "1", "--sections", sections)
+        assert (code, out, err) == (0, golden(f"appendix_w1_n{sections}.out"), "")

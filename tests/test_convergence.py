@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from multisection import (
     underflow_exponent,
     verify_error_bounds,
 )
+from multisection import solver
 from multisection.convergence import (
     NONMONOTONE_RATIO_EXAMPLE_ROOT,
     QUANTIZATION_ALLOWANCE_ULPS,
@@ -206,3 +208,81 @@ class TestVerifyErrorBounds:
                 estimate = record.chosen_subinterval.midpoint()
             err = abs(estimate - problem.reference_root)
             assert margin == bound_at(seq, record.index) - err
+
+
+class ScalarOnly:
+    """Wraps f so that it takes Python floats only."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, x):
+        if type(x) is not float:
+            raise TypeError("scalar-only function")
+        return float(self.f(x))
+
+
+def expected_from_trace(problem, sections):
+    """Margins recomputed from the solver's trace, and the
+    (message, iteration, observed, allowed) of the first violation or None."""
+    trace = solve(problem, SolveOptions(sections=sections)).trace
+    seq = BoundSequence(problem.bracket.width, sections)
+    ref = problem.reference_root
+    scale = max(abs(problem.bracket.lo), abs(problem.bracket.hi), abs(ref))
+    allowance = QUANTIZATION_ALLOWANCE_ULPS * math.ulp(scale)
+    margins = []
+    for record in trace:
+        if record.exact_root is not None:
+            estimate = record.exact_root
+        else:
+            estimate = record.chosen_subinterval.midpoint()
+        err = abs(estimate - ref)
+        bound = bound_at(seq, record.index)
+        if err > bound + allowance:
+            return margins, (
+                f"problem {problem.id!r}, N={sections}: |p_{record.index} - p| "
+                f"= {err} exceeds B_{record.index} = {bound} "
+                f"(+ allowance {allowance})",
+                record.index, err, bound + allowance)
+        margins.append(bound - err)
+    return margins, None
+
+
+def forbid_trace_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace record was built")
+    monkeypatch.setattr(solver, "_record", refuse)
+
+
+class TestVerifyFromSteps:
+    """verify_error_bounds reads the solve's steps and never builds a trace."""
+
+    @pytest.mark.parametrize("scalar", [False, True], ids=["array", "scalar-only"])
+    @pytest.mark.parametrize("sections", [2, 10, 50])
+    def test_margins_equal_the_trace_recomputation(self, monkeypatch, sections, scalar):
+        problems = [replace(p, f=ScalarOnly(p.f)) if scalar else p for p in corpus()]
+        expected = [expected_from_trace(p, sections)[0] for p in problems]
+        forbid_trace_records(monkeypatch)
+        with pytest.raises(AssertionError, match="trace record"):
+            solve(problems[0], SolveOptions(sections=sections)).trace
+        for problem, margins in zip(problems, expected):
+            report = verify_error_bounds(problem, sections)
+            assert list(report.margins) == margins
+            assert [type(m) for m in report.margins] == [type(m) for m in margins]
+
+    @pytest.mark.parametrize("scalar", [False, True], ids=["array", "scalar-only"])
+    @pytest.mark.parametrize("sections", [2, 10, 50])
+    def test_violation_fields_equal_the_trace_recomputation(self, monkeypatch, sections, scalar):
+        problems = []
+        for p in corpus():
+            wrong = p.bracket.lo + (p.bracket.hi - p.bracket.lo) * 0.37
+            problems.append(replace(p, f=ScalarOnly(p.f) if scalar else p.f,
+                                    reference_root=wrong))
+        expected = [expected_from_trace(p, sections)[1] for p in problems]
+        forbid_trace_records(monkeypatch)
+        for problem, fields in zip(problems, expected):
+            assert fields is not None
+            with pytest.raises(BoundViolation) as excinfo:
+                verify_error_bounds(problem, sections)
+            err = excinfo.value
+            assert (str(err), err.iteration, err.observed, err.allowed) == fields

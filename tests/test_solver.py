@@ -60,7 +60,8 @@ class TestTypes:
         assert iv.midpoint() == 2.5
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0),
-                                       (math.inf, 1.0), (0.0, math.nan)])
+                                       (math.inf, 1.0), (0.0, math.nan),
+                                       (-1e308, 1e308)])
     def test_interval_rejects_bad_endpoints(self, lo, hi):
         with pytest.raises(DomainError):
             Interval(lo, hi)
@@ -419,6 +420,41 @@ class TestMultisectionOracle:
                 assert record.chosen_subinterval == Interval(lo, hi)
 
 
+class ScalarOnly:
+    """Wraps f so that it takes Python floats only, counting its calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        if type(x) is not float:
+            raise TypeError("scalar-only function")
+        self.calls += 1
+        return float(self.f(x))
+
+
+SCALAR_OPTIONS = {
+    "default": {},
+    "cap 0": dict(max_iterations=0),
+    "cap 3": dict(max_iterations=3),
+    "residual 1e-9": dict(residual_tolerance=1e-9),
+}
+
+
+def nan_at(bad):
+    """x - 0.5, but NaN at x == bad; takes floats and arrays."""
+    def f(x):
+        return np.where(np.asarray(x) == bad, np.nan, np.asarray(x) - 0.5)
+    return f
+
+
+def scalar_twin_pair(f):
+    """The same f on [0, 1], as given and wrapped in ScalarOnly."""
+    return (Problem(id="vectorised", f=f, bracket=Interval(0.0, 1.0)),
+            Problem(id="scalar", f=ScalarOnly(f), bracket=Interval(0.0, 1.0)))
+
+
 class TestScalarFallback:
     def test_scalar_only_function_matches_vectorized(self):
         """A function that rejects arrays must give a bit-identical solve."""
@@ -452,6 +488,63 @@ class TestScalarFallback:
         assert result.termination is Termination.WIDTH_REACHED
         assert result.function_evaluations == 98
         assert calls == {"array": 1, "scalar": 98 + 1}  # + the residual probe
+
+    @pytest.mark.parametrize("option", SCALAR_OPTIONS)
+    @pytest.mark.parametrize("sections", [2, 3, 5, 81, 250])
+    def test_scalar_twin_matches_vectorised_on_corpus(self, sections, option):
+        options = SolveOptions(sections=sections, **SCALAR_OPTIONS[option])
+        for problem in corpus():
+            twin = ScalarOnly(problem.f)
+            expected = solve(problem, options)
+            result = solve(Problem(problem.id, twin, problem.bracket), options)
+            assert (result.root, result.residual, result.iterations,
+                    result.function_evaluations, result.termination) == (
+                expected.root, expected.residual, expected.iterations,
+                expected.function_evaluations, expected.termination)
+            assert result.trace == expected.trace
+            probe = result.termination in (Termination.WIDTH_REACHED,
+                                           Termination.MAX_ITERATIONS)
+            assert twin.calls == result.function_evaluations + probe
+            assert all(type(xs) is list and type(fs) is list
+                       for xs, fs in zip(result.steps.nodes_x, result.steps.nodes_f))
+
+    @pytest.mark.parametrize("bad", [0.2, 0.8])
+    def test_nan_node_either_side_of_the_sign_change(self, bad):
+        vectorised, scalar = scalar_twin_pair(nan_at(bad))
+        options = SolveOptions(sections=10)
+        with pytest.raises(EvaluationError) as expected:
+            solve(vectorised, options)
+        with pytest.raises(EvaluationError) as raised:
+            solve(scalar, options)
+        assert str(raised.value) == str(expected.value) == f"f({bad}) is NaN"
+        assert scalar.f.calls == 2 + 9  # every node is evaluated first
+
+    @pytest.mark.parametrize("root,iterations", [(0.1, 1), (0.9, 1), (1.0, 0), (0.0, 0)])
+    def test_exact_zero_at_a_node_or_an_endpoint(self, root, iterations):
+        vectorised, scalar = scalar_twin_pair(lambda x: x - root)
+        options = SolveOptions(sections=10)
+        expected, result = solve(vectorised, options), solve(scalar, options)
+        assert result == expected
+        assert (result.root, result.termination, result.iterations) == (
+            root, Termination.EXACT_ZERO, iterations)
+        assert scalar.f.calls == result.function_evaluations
+
+    @pytest.mark.parametrize("root", [0.0, 0.1, 0.35, 0.9, 1.0])
+    def test_multisect_step(self, root):
+        f = lambda x: x - root
+        expected = multisect_step(Interval(0.0, 1.0), f, 10)
+        record = multisect_step(Interval(0.0, 1.0), ScalarOnly(f), 10)
+        assert record == expected
+        if root in (0.0, 0.1, 0.9, 1.0):
+            assert record.exact_root == root
+
+    def test_no_sign_change(self):
+        f = lambda x: x * x + 1.0
+        with pytest.raises(NoSignChangeError) as expected:
+            multisect_step(Interval(-1.0, 1.0), f, 4, f_lo=1.0, f_hi=1.0)
+        with pytest.raises(NoSignChangeError) as raised:
+            multisect_step(Interval(-1.0, 1.0), ScalarOnly(f), 4, f_lo=1.0, f_hi=1.0)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestDeterminism:
