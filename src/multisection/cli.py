@@ -27,6 +27,7 @@ import argparse
 import json
 import logging
 import platform
+import re
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -104,7 +105,17 @@ def _write_manifest(path: Path, command: str, config: dict, outputs: list[Path])
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad arguments; our contract says 3."""
+    """argparse exits 2 on bad arguments; our contract says 3.
+
+    It also takes a negative number with an exponent (``--lo -5e0``) as a
+    value, where argparse before Python 3.13 only knows ``-5`` and
+    ``-5.0`` and reads ``-5e0`` as an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -24,18 +24,21 @@ subinterval (sign 0 differs from the nonzero sign to its left), so every
 iteration record — including the last one of an exact-zero run — carries a
 genuine subinterval of 1/N the parent width.
 
-Each pass is vectorised (one call of f on the node array, numpy
-reductions for the NaN check and the sign scan) until f rejects an
-array; from then on the solve runs the same pass over Python floats,
-one call per node, with no numpy in the loop.  Both passes share the
-rules that pick the chosen subinterval, so they give bit-identical
-results whenever f returns the same bits for a float as for an array.
+Each pass calls f once, on an array of its nodes.  Up to
+:data:`LIST_PASS_MAX_SECTIONS` sections the pass builds the nodes and
+scans their values as Python floats around that one call (numpy's
+per-call overhead dominates on a handful of nodes); above it, numpy
+builds the nodes and does the NaN check and the sign scan.  Once f
+rejects an array, every later pass runs over Python floats with one call
+per node and no numpy in the loop.  All passes share the rules that pick
+the chosen subinterval, so they give bit-identical results whenever f
+returns the same bits for a float as for an array.
 
 A solve keeps each iteration's nodes, their values and the chosen
-endpoints as they are (arrays from the vectorised pass, lists from the
-scalar one); the :class:`IterationRecord` trace is built from them on
-the first read of :attr:`SolveResult.trace`, so a caller that never
-reads it never pays for it.
+endpoints as they are (arrays from the array pass, lists from the list
+pass); the :class:`IterationRecord` trace is built from them on the
+first read of :attr:`SolveResult.trace`, so a caller that never reads it
+never pays for it.
 """
 
 from __future__ import annotations
@@ -198,9 +201,10 @@ class Steps(NamedTuple):
     bracket and, per iteration, the nodes, their f values and the chosen
     subinterval's ends.
 
-    The vectorised numpy pass keeps one array of nodes and one of values
-    per iteration; a solve that fell back to calling f per node keeps
-    lists of floats; the numba backend keeps rows of 2-D arrays and
+    The numpy path keeps one sequence of nodes and one of values per
+    iteration: lists of floats for N at or below
+    :data:`LIST_PASS_MAX_SECTIONS`, or once f rejects an array, and
+    arrays otherwise.  The numba backend keeps rows of 2-D arrays and
     arrays of ends.
     """
 
@@ -329,32 +333,42 @@ def validate_bracket(problem: Problem) -> tuple[int, int]:
     return sign(f_lo), sign(f_hi)
 
 
+#: Section counts at or below this take the list pass: the nodes are
+#: built and scanned as Python floats around one array call of f, which
+#: beats numpy's per-call overhead on a handful of nodes.  Above it the
+#: array pass's per-node cost is lower.
+LIST_PASS_MAX_SECTIONS = 12
+
+
 class _Stepper:
     """One N-section pass at a time for one solve.
 
-    A pass starts vectorised: the nodes are one array, f is called once
-    on it, and numpy finds the first NaN and the first departing node.
-    The first time f rejects an array (any exception but
-    :class:`EvaluationError`, or a result of the wrong shape), that pass
-    and every later one run over Python floats instead: the same node
-    arithmetic, one f call per node, and the nodes and their values kept
-    as lists.  Only the evaluation and the search for the first departing
-    node differ between the two; :meth:`step` holds the rules they share.
+    The pass is chosen once, from ``sections``: the array pass above
+    :data:`LIST_PASS_MAX_SECTIONS` (the nodes are one array and numpy
+    finds the first NaN and the first departing node), the list pass at
+    or below it (the same node arithmetic over Python floats, a
+    plain-Python NaN check and scan, and the nodes and their values kept
+    as lists).  Both call f once per pass on an array of the nodes.  The
+    first time f rejects an array (see :meth:`_f_on_array`), that pass
+    and every later one run the list pass with one f call per node.
+    Only the evaluation and the search for the first departing node
+    differ between the passes; :meth:`step` holds the rules they share.
     """
 
     def __init__(self, f: Callable[[float], float], sections: int):
         self.f = f
         self.sections = sections
-        self.j = np.arange(1, sections, dtype=np.float64)
         self.vectorized = True
+        if sections <= LIST_PASS_MAX_SECTIONS:
+            self._pass = self._list_pass
+        else:
+            self._pass = self._vector_pass
+            self.j = np.arange(1, sections, dtype=np.float64)
 
-    def _vector_pass(self, lo: float, hi: float, departs: Callable):
-        """The nodes, their f values, and the index of the first node that
-        departs, or None; the scalar pass's result once f rejects the
-        array."""
-        # node arithmetic is pinned so every backend and the scalar pass
-        # see bit-identical abscissas
-        xs = lo + (self.j * (hi - lo)) / self.sections
+    def _f_on_array(self, xs: np.ndarray) -> Optional[np.ndarray]:
+        """f's values on the node array, or None once f rejects it: any
+        exception but :class:`EvaluationError`, or a result of the wrong
+        shape.  A rejection turns the solve to per-node calls for good."""
         try:
             fs = np.asarray(self.f(xs), dtype=np.float64)
         except EvaluationError:
@@ -362,8 +376,20 @@ class _Stepper:
         except Exception:
             fs = None
         if fs is None or fs.shape != xs.shape:
-            self.vectorized = False
-            return self._scalar_pass(lo, hi, departs)
+            self.vectorized, self._pass = False, self._list_pass
+            return None
+        return fs
+
+    def _vector_pass(self, lo: float, hi: float, departs: Callable):
+        """The nodes, their f values, and the index of the first node that
+        departs, or None; the list pass's result once f rejects the
+        array."""
+        # node arithmetic is pinned so every backend and the list pass
+        # see bit-identical abscissas
+        xs = lo + (self.j * (hi - lo)) / self.sections
+        fs = self._f_on_array(xs)
+        if fs is None:
+            return self._list_pass(lo, hi, departs)
         nan = np.isnan(fs)
         first_nan = nan.argmax()
         if nan[first_nan]:
@@ -372,12 +398,13 @@ class _Stepper:
         k = int(hits.argmax())
         return xs, fs, k if hits[k] else None
 
-    def _scalar_pass(self, lo: float, hi: float, departs: Callable):
+    def _list_pass(self, lo: float, hi: float, departs: Callable):
         """:meth:`_vector_pass` over Python floats, with lists for arrays."""
         span, n, f = hi - lo, self.sections, self.f
-        # the vectorised pass's three node operations, in the same order
+        # the array pass's three node operations, in the same order
         xs = [lo + (j * span) / n for j in range(1, n)]
-        fs = [float(f(x)) for x in xs]
+        fs = self._f_on_array(np.array(xs)) if self.vectorized else None
+        fs = [float(f(x)) for x in xs] if fs is None else fs.tolist()
         if any(map(math.isnan, fs)):
             first_nan = next(x for x, fx in zip(xs, fs) if math.isnan(fx))
             raise EvaluationError(f"f({first_nan}) is NaN")
@@ -399,10 +426,7 @@ class _Stepper:
         # that change ends at the first node k that passes departs(f, 0.0)
         # (the operator applies to one float or elementwise to an array)
         departs = le if f_lo > 0.0 else ge if f_lo < 0.0 else ne
-        if self.vectorized:
-            xs, fs, k = self._vector_pass(lo, hi, departs)
-        else:
-            xs, fs, k = self._scalar_pass(lo, hi, departs)
+        xs, fs, k = self._pass(lo, hi, departs)
         if k is not None:
             x, fx = float(xs[k]), float(fs[k])
         elif sign(f_hi) != sign(f_lo):
@@ -494,6 +518,15 @@ def solve(
     return _solve_reference(problem, options)
 
 
+def _first_smallest(fs) -> int:
+    """The index of the first of the values of least magnitude: numpy's
+    ``argmin`` on an array, plain Python on a list."""
+    if isinstance(fs, np.ndarray):
+        return int(np.abs(fs).argmin())
+    magnitudes = list(map(abs, fs))
+    return magnitudes.index(min(magnitudes))
+
+
 def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
     """The plain Python/numpy solve loop.  Semantics live here; the numba
     kernel in :mod:`multisection.kernels` must match it record for record."""
@@ -531,7 +564,7 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
             termination, root, residual = Termination.EXACT_ZERO, exact, 0.0
             break
         if rtol > 0.0:
-            best = int(np.abs(fs).argmin())  # the first of equal minima
+            best = _first_smallest(fs)
             if abs(fs[best]) <= rtol:
                 termination = Termination.RESIDUAL_REACHED
                 root, residual = float(xs[best]), float(fs[best])

@@ -58,6 +58,12 @@ class TestSolve:
         root = float(extract(r"root = (\S+)", out))
         assert abs(root - (-2.8284271247461903)) <= 2.0 ** -51
 
+    @pytest.mark.parametrize("lo", ["-5e0", "-5E+0", "-.5e1"])
+    def test_negative_exponent_value_reads_as_a_value(self, capsys, lo):
+        expected = run(capsys, "solve", "--function", "square-8", f"--lo={lo}", "--hi", "-2")
+        assert expected[0] == 0
+        assert run(capsys, "solve", "--function", "square-8", "--lo", lo, "--hi", "-2") == expected
+
     def test_bad_sections_exits_3(self, capsys):
         code, _, err = run(capsys, "solve", "--corpus", "1", "--sections", "1")
         assert code == 3

@@ -23,7 +23,7 @@ from multisection import (
     solve,
     validate_bracket,
 )
-from multisection.solver import Steps
+from multisection.solver import LIST_PASS_MAX_SECTIONS, Steps
 
 MU = 2.0 ** -52
 
@@ -285,6 +285,19 @@ class TestSolveExamples:
         nodes = dict(result.trace[-1].evaluated_nodes)
         assert nodes[result.root] == result.residual
 
+    @pytest.mark.parametrize("sections", [10, 50])
+    def test_residual_stop_takes_the_first_of_tied_minima(self, sections):
+        def f(x):
+            x = np.asarray(x)
+            return np.select([x < 0.3, x < 0.5, x < 0.7], [-1.0, -1e-3, 1e-3], 1.0)
+
+        options = SolveOptions(sections=sections, residual_tolerance=1e-2)
+        for g in (f, ScalarOnly(f)):
+            result = solve(Problem(id="tied", f=g, bracket=Interval(0.0, 1.0)), options)
+            # every node in [0.3, 0.7) has |f| = 1e-3; the leftmost wins
+            assert (result.root, result.residual, result.iterations, result.termination) == (
+                0.3, -1e-3, 1, Termination.RESIDUAL_REACHED)
+
     def test_nan_during_iteration(self):
         def f(x):
             return math.nan if 0.4 < x < 0.6 else x - 0.5
@@ -409,7 +422,7 @@ def textbook_multisection(problem, sections):
 
 
 class TestMultisectionOracle:
-    @pytest.mark.parametrize("sections", [3, 10, 250, 4096])
+    @pytest.mark.parametrize("sections", [2, 3, 10, 12, 13, 250, 4096])
     def test_matches_textbook_replay_node_for_node(self, sections):
         for problem in corpus():
             expected = textbook_multisection(problem, sections)
@@ -474,20 +487,22 @@ class TestScalarFallback:
                [r.evaluated_nodes for r in reference.trace]
 
     def test_array_rejection_is_decided_once_per_solve(self):
-        calls = {"array": 0, "scalar": 0}
+        # a list pass and an array pass, either side of the crossover
+        for sections, evaluations in [(5, 98), (50, 492)]:
+            calls = {"array": 0, "scalar": 0}
 
-        def scalar_only(x):
-            if isinstance(x, np.ndarray):
-                calls["array"] += 1
-                raise TypeError("scalar-only function")
-            calls["scalar"] += 1
-            return float(np.exp(x)) - 2.0 - x
+            def scalar_only(x):
+                if isinstance(x, np.ndarray):
+                    calls["array"] += 1
+                    raise TypeError("scalar-only function")
+                calls["scalar"] += 1
+                return float(np.exp(x)) - 2.0 - x
 
-        p = Problem(id="scalar-exp-gap", f=scalar_only, bracket=Interval(1.0, 4.0))
-        result = solve(p, SolveOptions(sections=5))
-        assert result.termination is Termination.WIDTH_REACHED
-        assert result.function_evaluations == 98
-        assert calls == {"array": 1, "scalar": 98 + 1}  # + the residual probe
+            p = Problem(id="scalar-exp-gap", f=scalar_only, bracket=Interval(1.0, 4.0))
+            result = solve(p, SolveOptions(sections=sections))
+            assert result.termination is Termination.WIDTH_REACHED
+            assert result.function_evaluations == evaluations
+            assert calls == {"array": 1, "scalar": evaluations + 1}  # + the residual probe
 
     @pytest.mark.parametrize("option", SCALAR_OPTIONS)
     @pytest.mark.parametrize("sections", [2, 3, 5, 81, 250])
@@ -510,24 +525,26 @@ class TestScalarFallback:
 
     @pytest.mark.parametrize("bad", [0.2, 0.8])
     def test_nan_node_either_side_of_the_sign_change(self, bad):
-        vectorised, scalar = scalar_twin_pair(nan_at(bad))
-        options = SolveOptions(sections=10)
-        with pytest.raises(EvaluationError) as expected:
-            solve(vectorised, options)
-        with pytest.raises(EvaluationError) as raised:
-            solve(scalar, options)
-        assert str(raised.value) == str(expected.value) == f"f({bad}) is NaN"
-        assert scalar.f.calls == 2 + 9  # every node is evaluated first
+        for sections in [10, 50]:  # the list pass and the array pass
+            vectorised, scalar = scalar_twin_pair(nan_at(bad))
+            options = SolveOptions(sections=sections)
+            with pytest.raises(EvaluationError) as expected:
+                solve(vectorised, options)
+            with pytest.raises(EvaluationError) as raised:
+                solve(scalar, options)
+            assert str(raised.value) == str(expected.value) == f"f({bad}) is NaN"
+            assert scalar.f.calls == 2 + sections - 1  # every node is evaluated first
 
     @pytest.mark.parametrize("root,iterations", [(0.1, 1), (0.9, 1), (1.0, 0), (0.0, 0)])
     def test_exact_zero_at_a_node_or_an_endpoint(self, root, iterations):
-        vectorised, scalar = scalar_twin_pair(lambda x: x - root)
-        options = SolveOptions(sections=10)
-        expected, result = solve(vectorised, options), solve(scalar, options)
-        assert result == expected
-        assert (result.root, result.termination, result.iterations) == (
-            root, Termination.EXACT_ZERO, iterations)
-        assert scalar.f.calls == result.function_evaluations
+        for sections in [10, 50]:  # the list pass and the array pass
+            vectorised, scalar = scalar_twin_pair(lambda x: x - root)
+            options = SolveOptions(sections=sections)
+            expected, result = solve(vectorised, options), solve(scalar, options)
+            assert result == expected
+            assert (result.root, result.termination, result.iterations) == (
+                root, Termination.EXACT_ZERO, iterations)
+            assert scalar.f.calls == result.function_evaluations
 
     @pytest.mark.parametrize("root", [0.0, 0.1, 0.35, 0.9, 1.0])
     def test_multisect_step(self, root):
@@ -545,6 +562,36 @@ class TestScalarFallback:
         with pytest.raises(NoSignChangeError) as raised:
             multisect_step(Interval(-1.0, 1.0), ScalarOnly(f), 4, f_lo=1.0, f_hi=1.0)
         assert str(raised.value) == str(expected.value)
+
+
+class ArrayCalls:
+    """Wraps an array-taking f, logging each call's argument type, dtype
+    and shape."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append((type(x), getattr(x, "dtype", None), np.shape(x)))
+        return self.f(x)
+
+
+class TestPassChoice:
+    @pytest.mark.parametrize("sections", [LIST_PASS_MAX_SECTIONS, LIST_PASS_MAX_SECTIONS + 1])
+    def test_one_array_call_per_iteration_either_side_of_the_crossover(self, sections):
+        endpoint = (float, None, ())
+        nodes = (np.ndarray, np.float64, (sections - 1,))
+        kept = list if sections <= LIST_PASS_MAX_SECTIONS else np.ndarray
+        for problem in corpus():
+            f = ArrayCalls(problem.f)
+            result = solve(Problem(problem.id, f, problem.bracket),
+                           SolveOptions(sections=sections))
+            probe = result.termination is Termination.WIDTH_REACHED
+            assert f.calls == ([endpoint] * 2 + [nodes] * result.iterations
+                               + [endpoint] * probe)
+            assert all(type(xs) is kept and type(fs) is kept
+                       for xs, fs in zip(result.steps.nodes_x, result.steps.nodes_f))
 
 
 class TestDeterminism:
