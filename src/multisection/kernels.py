@@ -86,19 +86,20 @@ def available_backends() -> tuple[str, ...]:
 
 
 def resolve_backend(explicit: Optional[str] = None) -> str:
-    """Apply the selection order: explicit arg, environment, auto."""
-    name = explicit
-    if name is None:
-        env = os.environ.get(BACKEND_ENV, "").strip().lower()
-        name = env or None
-        if name is not None and name not in VALID_BACKENDS:
+    """Apply the selection order: explicit arg, environment, auto.  The
+    environment is read on every call."""
+    if explicit is None:
+        env = os.environ.get(BACKEND_ENV)
+        env = env.strip().lower() if env else None
+        if not env:
+            return "numba" if numba_available() else "numpy"
+        if env not in VALID_BACKENDS:
             raise DomainError(
                 f"{BACKEND_ENV}={env!r} is not a valid backend; "
                 f"choose from {VALID_BACKENDS}"
             )
-    if name is None:
-        return "numba" if numba_available() else "numpy"
-    name = name.strip().lower()
+        return env
+    name = explicit.strip().lower()
     if name not in VALID_BACKENDS:
         raise DomainError(
             f"unknown backend {name!r}; choose from {VALID_BACKENDS}"

@@ -240,8 +240,9 @@ class SolveResult:
     it is reporting, not search work.
 
     ``trace`` holds one :class:`IterationRecord` per iteration.  It is
-    built from ``steps`` on its first read and cached; results compare
-    and hash by their fields and their trace.
+    built from ``steps`` on its first read and cached.  Results compare
+    by their fields and by the values in their steps, which is equal
+    traces without building them; they hash by their fields alone.
     """
 
     root: float
@@ -277,17 +278,43 @@ class SolveResult:
             before = record.chosen_subinterval
         return tuple(records)
 
-    def _key(self) -> tuple:
+    def _fields(self) -> tuple:
         return (self.root, self.residual, self.iterations,
-                self.function_evaluations, self.trace, self.termination)
+                self.function_evaluations, self.termination)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return (self._fields() == other._fields()
+                and _same_steps(self.steps, other.steps))
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._fields())
+
+
+def _same_values(a, b) -> bool:
+    """Whether two sequences of floats hold equal values, lists or arrays
+    alike; -0.0 equals 0.0, as in a trace."""
+    if type(a) is list and type(b) is list:
+        return a == b
+    return np.array_equal(a, b)
+
+
+def _same_steps(a: Optional[Steps], b: Optional[Steps]) -> bool:
+    """Whether two solves' steps make equal traces, without building them:
+    the same chosen ends and the same nodes and values, and the same
+    bracket unless no iteration ran.  (The exact root of the last record
+    is the result's root, which the fields already compare.)"""
+    iterations = 0 if a is None else len(a.chosen_lo)
+    if iterations != (0 if b is None else len(b.chosen_lo)):
+        return False
+    return iterations == 0 or (
+        a.bracket == b.bracket
+        and _same_values(a.chosen_lo, b.chosen_lo)
+        and _same_values(a.chosen_hi, b.chosen_hi)
+        and all(map(_same_values, a.nodes_x, b.nodes_x))
+        and all(map(_same_values, a.nodes_f, b.nodes_f))
+    )
 
 
 def _validate_endpoints(
@@ -343,26 +370,36 @@ LIST_PASS_MAX_SECTIONS = 12
 class _Stepper:
     """One N-section pass at a time for one solve.
 
-    The pass is chosen once, from ``sections``: the array pass above
-    :data:`LIST_PASS_MAX_SECTIONS` (the nodes are one array and numpy
-    finds the first NaN and the first departing node), the list pass at
-    or below it (the same node arithmetic over Python floats, a
-    plain-Python NaN check and scan, and the nodes and their values kept
-    as lists).  Both call f once per pass on an array of the nodes.  The
-    first time f rejects an array (see :meth:`_f_on_array`), that pass
-    and every later one run the list pass with one f call per node.
+    Everything that stays fixed within a solve is decided once, here:
+
+    * the pass, from ``sections``: the array pass above
+      :data:`LIST_PASS_MAX_SECTIONS` (the nodes are one array and numpy
+      finds the first NaN and the first departing node), the list pass at
+      or below it (the same node arithmetic over Python floats, a
+      plain-Python NaN check and scan, and the nodes and their values
+      kept as lists).  Both call f once per pass on an array of the
+      nodes.  The first time f rejects an array (see :meth:`_f_on_array`),
+      that pass and every later one run the list pass with one f call per
+      node;
+    * the departure test, from the sign of f at the bracket's left end.
+      Every chosen subinterval's left end keeps that sign (a zero there
+      ends the solve), so the first node whose value *departs* from it
+      (``le``, ``ge`` or ``ne`` against 0.0, on one float or elementwise
+      on an array) closes the leftmost sign change.
+
     Only the evaluation and the search for the first departing node
     differ between the passes; :meth:`step` holds the rules they share.
     """
 
-    def __init__(self, f: Callable[[float], float], sections: int):
+    def __init__(self, f: Callable[[float], float], sections: int, f_lo: float):
         self.f = f
         self.sections = sections
+        # dividing by the float gives the bits of dividing by the int
+        self.n = float(sections)
+        self.departs = le if f_lo > 0.0 else ge if f_lo < 0.0 else ne
         self.vectorized = True
-        if sections <= LIST_PASS_MAX_SECTIONS:
-            self._pass = self._list_pass
-        else:
-            self._pass = self._vector_pass
+        self.array_pass = sections > LIST_PASS_MAX_SECTIONS
+        if self.array_pass:
             self.j = np.arange(1, sections, dtype=np.float64)
 
     def _f_on_array(self, xs: np.ndarray) -> Optional[np.ndarray]:
@@ -376,38 +413,39 @@ class _Stepper:
         except Exception:
             fs = None
         if fs is None or fs.shape != xs.shape:
-            self.vectorized, self._pass = False, self._list_pass
+            self.vectorized = self.array_pass = False
             return None
         return fs
 
-    def _vector_pass(self, lo: float, hi: float, departs: Callable):
+    def _vector_pass(self, lo: float, hi: float):
         """The nodes, their f values, and the index of the first node that
         departs, or None; the list pass's result once f rejects the
         array."""
         # node arithmetic is pinned so every backend and the list pass
         # see bit-identical abscissas
-        xs = lo + (self.j * (hi - lo)) / self.sections
+        xs = lo + (self.j * (hi - lo)) / self.n
         fs = self._f_on_array(xs)
         if fs is None:
-            return self._list_pass(lo, hi, departs)
+            return self._list_pass(lo, hi)
         nan = np.isnan(fs)
         first_nan = nan.argmax()
         if nan[first_nan]:
             raise EvaluationError(f"f({xs[first_nan]}) is NaN")
-        hits = departs(fs, 0.0)
+        hits = self.departs(fs, 0.0)
         k = int(hits.argmax())
         return xs, fs, k if hits[k] else None
 
-    def _list_pass(self, lo: float, hi: float, departs: Callable):
+    def _list_pass(self, lo: float, hi: float):
         """:meth:`_vector_pass` over Python floats, with lists for arrays."""
-        span, n, f = hi - lo, self.sections, self.f
+        span, n, f = hi - lo, self.n, self.f
         # the array pass's three node operations, in the same order
-        xs = [lo + (j * span) / n for j in range(1, n)]
+        xs = [lo + (j * span) / n for j in range(1, self.sections)]
         fs = self._f_on_array(np.array(xs)) if self.vectorized else None
         fs = [float(f(x)) for x in xs] if fs is None else fs.tolist()
         if any(map(math.isnan, fs)):
             first_nan = next(x for x, fx in zip(xs, fs) if math.isnan(fx))
             raise EvaluationError(f"f({first_nan}) is NaN")
+        departs = self.departs
         for k, fx in enumerate(fs):
             if departs(fx, 0.0):
                 return xs, fs, k
@@ -417,19 +455,22 @@ class _Stepper:
         """Evaluate the nodes of [lo, hi] and pick the leftmost pair of
         adjacent points, endpoints included, whose signs differ.
 
-        Returns the nodes, their f values, the chosen (lo, hi, f_lo, f_hi)
-        and the exact-zero point or None: a zero has sign 0, so it differs
-        from any nonzero neighbor and is the exact root.  Raises
-        :class:`NoSignChangeError` when every pair matches.
+        ``f_lo`` must have the sign the stepper was built with, and
+        neither value may be NaN.  Returns the nodes, their f values, the
+        chosen lo, hi, f_lo and f_hi, and the exact-zero point or None: a
+        zero has sign 0, so it differs from any nonzero neighbor and is
+        the exact root.  Raises :class:`NoSignChangeError` when every
+        pair matches.
         """
         # every point before the leftmost change has the sign of f(lo), so
-        # that change ends at the first node k that passes departs(f, 0.0)
-        # (the operator applies to one float or elementwise to an array)
-        departs = le if f_lo > 0.0 else ge if f_lo < 0.0 else ne
-        xs, fs, k = self._pass(lo, hi, departs)
+        # that change ends at the first point that departs from it
+        if self.array_pass:
+            xs, fs, k = self._vector_pass(lo, hi)
+        else:
+            xs, fs, k = self._list_pass(lo, hi)
         if k is not None:
             x, fx = float(xs[k]), float(fs[k])
-        elif sign(f_hi) != sign(f_lo):
+        elif self.departs(f_hi, 0.0):
             k, x, fx = self.sections - 1, hi, f_hi
         else:
             raise NoSignChangeError(
@@ -439,7 +480,7 @@ class _Stepper:
         if k > 0:
             lo, f_lo = float(xs[k - 1]), float(fs[k - 1])
         exact = x if fx == 0.0 else lo if f_lo == 0.0 else None
-        return xs, fs, (lo, x, f_lo, fx), exact
+        return xs, fs, lo, x, f_lo, fx, exact
 
 
 def multisect_step(
@@ -464,7 +505,7 @@ def multisect_step(
         f_hi = float(f(interval.hi))
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise EvaluationError("endpoint function value is NaN")
-    xs, fs, (lo, hi, _, _), exact = _Stepper(f, sections).step(
+    xs, fs, lo, hi, _, _, exact = _Stepper(f, sections, f_lo).step(
         interval.lo, interval.hi, f_lo, f_hi
     )
     return _record(index, interval, xs, fs, lo, hi, exact)
@@ -499,16 +540,13 @@ def solve(
 
     ``backend`` selects the evaluation engine: "numpy" (the reference
     path below), "numba" (a compiled kernel producing the same records),
-    or None to defer to the MULTISECTION_BACKEND environment variable and
-    then to auto-detection.  See :mod:`multisection.kernels`.
+    or None to defer to the MULTISECTION_BACKEND environment variable,
+    read on every call, and then to auto-detection.  See
+    :mod:`multisection.kernels`.
     """
     if options is None:
         options = SolveOptions()
-
-    from . import kernels  # deferred: kernels imports this module's types
-
-    chosen_backend = kernels.resolve_backend(backend)
-    if chosen_backend == "numba":
+    if kernels.resolve_backend(backend) == "numba":
         result = kernels.solve_numba(problem, options)
         if result is not None:
             return result
@@ -540,25 +578,28 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
         return done
 
     cap = math.inf if options.max_iterations is None else options.max_iterations
-    stepper = _Stepper(f, sections)
+    step = _Stepper(f, sections, f_lo).step
+    n = float(sections)  # the same bits as dividing by the int
     lo, hi = problem.bracket.lo, problem.bracket.hi
     w = hi - lo
-    steps = Steps(problem.bracket, [], [], [], [])
+    nodes_x, nodes_f, chosen_lo, chosen_hi = [], [], [], []
+    iterations = 0
 
     while True:
-        if w <= tol or len(steps.chosen_lo) >= cap:
+        if w <= tol or iterations >= cap:
             termination = (Termination.WIDTH_REACHED if w <= tol
                            else Termination.MAX_ITERATIONS)
             root = lo + (hi - lo) / 2.0
             residual = float(f(root))  # diagnostic probe, not counted
             break
 
-        xs, fs, (lo, hi, f_lo, f_hi), exact = stepper.step(lo, hi, f_lo, f_hi)
-        steps.nodes_x.append(xs)
-        steps.nodes_f.append(fs)
-        steps.chosen_lo.append(lo)
-        steps.chosen_hi.append(hi)
-        w /= sections
+        xs, fs, lo, hi, f_lo, f_hi, exact = step(lo, hi, f_lo, f_hi)
+        nodes_x.append(xs)
+        nodes_f.append(fs)
+        chosen_lo.append(lo)
+        chosen_hi.append(hi)
+        iterations += 1
+        w /= n
 
         if exact is not None:
             termination, root, residual = Termination.EXACT_ZERO, exact, 0.0
@@ -570,12 +611,15 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
                 root, residual = float(xs[best]), float(fs[best])
                 break
 
-    iterations = len(steps.chosen_lo)
     return SolveResult(
         root=root,
         residual=residual,
         iterations=iterations,
         function_evaluations=2 + (sections - 1) * iterations,
         termination=termination,
-        steps=steps,
+        steps=Steps(problem.bracket, nodes_x, nodes_f, chosen_lo, chosen_hi),
     )
+
+
+# last: kernels imports this module's types
+from . import kernels  # noqa: E402

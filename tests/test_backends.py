@@ -60,6 +60,16 @@ class TestResolution:
         with pytest.raises(DomainError):
             resolve_backend("fortran")
 
+    def test_solve_reads_the_env_on_every_call(self, monkeypatch):
+        problem = corpus()[2]
+        monkeypatch.setenv(ENV, "numpy")
+        expected = solve(problem)
+        monkeypatch.setenv(ENV, "fortran")
+        with pytest.raises(DomainError, match="MULTISECTION_BACKEND='fortran'"):
+            solve(problem)
+        monkeypatch.delenv(ENV)
+        assert solve(problem) == expected
+
     @needs_numba
     def test_auto_prefers_numba(self, monkeypatch):
         monkeypatch.delenv(ENV, raising=False)

@@ -1,5 +1,6 @@
 """Solver semantics: types, single steps, full solves, and invariants."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from multisection import (
     predicted_max_iterations,
     solve,
     validate_bracket,
+    verify_error_bounds,
 )
+from multisection import solver
 from multisection.solver import LIST_PASS_MAX_SECTIONS, Steps
 
 MU = 2.0 ** -52
@@ -594,6 +597,36 @@ class TestPassChoice:
                        for xs, fs in zip(result.steps.nodes_x, result.steps.nodes_f))
 
 
+def solve_in_pass(monkeypatch, kept, problem, options):
+    """Solve with the list pass (``kept`` list) or the array pass (``kept``
+    np.ndarray) forced at any N, by moving the crossover."""
+    crossover = options.sections if kept is list else 1
+    monkeypatch.setattr(solver, "LIST_PASS_MAX_SECTIONS", crossover)
+    result = solve(problem, options)
+    assert all(type(xs) is kept and type(fs) is kept
+               for xs, fs in zip(result.steps.nodes_x, result.steps.nodes_f))
+    return result
+
+
+def fields(result):
+    return (result.root, result.residual, result.iterations,
+            result.function_evaluations, result.termination)
+
+
+class TestBothPasses:
+    """The list pass and the array pass, each forced at the same N."""
+
+    @pytest.mark.parametrize("option", SCALAR_OPTIONS)
+    @pytest.mark.parametrize("sections", [2, 3, 5, 12, 13, 81, 250])
+    def test_same_results_on_the_same_inputs(self, monkeypatch, sections, option):
+        options = SolveOptions(sections=sections, **SCALAR_OPTIONS[option])
+        for problem in corpus():
+            listed = solve_in_pass(monkeypatch, list, problem, options)
+            arrayed = solve_in_pass(monkeypatch, np.ndarray, problem, options)
+            assert fields(listed) == fields(arrayed)
+            assert listed.trace == arrayed.trace
+
+
 class TestDeterminism:
     def test_repeat_solves_identical(self):
         for problem in corpus():
@@ -620,6 +653,104 @@ class TestTrace:
                         Steps(bracket, nodes_x, altered, chosen_lo, chosen_hi))
         assert c != a
         assert c.trace[1:] == a.trace[1:]
+
+    @pytest.mark.parametrize("sections", [13, 50])
+    def test_steps_as_lists_equal_steps_as_arrays(self, sections):
+        options = SolveOptions(sections=sections)
+        for problem in corpus():
+            arrayed = solve(problem, options)
+            listed = solve(Problem(problem.id, ScalarOnly(problem.f), problem.bracket),
+                           options)
+            assert type(arrayed.steps.nodes_x[0]) is np.ndarray
+            assert type(listed.steps.nodes_x[0]) is list
+            assert listed == arrayed
+            assert hash(listed) == hash(arrayed)
+
+    def test_a_signed_zero_compares_as_in_the_trace(self):
+        # inv-shift at N = 3 ends on a node whose value is exactly 0.0
+        a = solve(corpus()[3], SolveOptions(sections=3))
+        bracket, nodes_x, nodes_f, chosen_lo, chosen_hi = a.steps
+        flipped = [np.array([-fx if fx == 0.0 else fx for fx in fs]) for fs in nodes_f]
+        assert math.copysign(1.0, flipped[-1].min()) == -1.0
+        b = SolveResult(a.root, a.residual, a.iterations, a.function_evaluations,
+                        a.termination,
+                        Steps(bracket, nodes_x, flipped, chosen_lo, chosen_hi))
+        assert b.trace == a.trace
+        assert b == a and hash(b) == hash(a)
+
+    def test_equal_steps_mean_equal_traces_across_passes(self, monkeypatch):
+        results = []
+        for problem in corpus()[2:4]:
+            for sections in (3, 13):
+                for kept in (list, np.ndarray):
+                    for kwargs in ({}, dict(max_iterations=0), dict(max_iterations=3)):
+                        results.append(solve_in_pass(
+                            monkeypatch, kept, problem,
+                            SolveOptions(sections=sections, **kwargs)))
+        # the same fields, one node value changed
+        a = results[0]
+        bracket, nodes_x, nodes_f, chosen_lo, chosen_hi = a.steps
+        altered = [list(fs) for fs in nodes_f]
+        altered[-1][0] = math.nextafter(altered[-1][0], math.inf)
+        results.append(SolveResult(a.root, a.residual, a.iterations,
+                                   a.function_evaluations, a.termination,
+                                   Steps(bracket, nodes_x, altered, chosen_lo, chosen_hi)))
+        equal_pairs = 0
+        for a in results:
+            for b in results:
+                same = fields(a) == fields(b) and a.trace == b.trace
+                assert (a == b) is same
+                equal_pairs += same and a is not b
+        assert equal_pairs > 0
+
+
+class TestStepperInvariants:
+    @given(
+        lo=st.floats(min_value=-100.0, max_value=99.0),
+        width=st.floats(min_value=1e-3, max_value=50.0),
+        frac=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        slope=st.sampled_from([1.0, -1.0]),
+        quadratic=st.booleans(),
+        sections=st.integers(min_value=2, max_value=300),
+    )
+    def test_every_chosen_lo_keeps_the_sign_of_f_at_the_bracket_lo(
+            self, lo, width, frac, slope, quadratic, sections):
+        hi = lo + width
+        root = lo + frac * (hi - lo)
+        if not (lo < root < hi):
+            return  # rounding pushed the root onto an endpoint
+        far = hi + width  # the quadratic's other root, outside the bracket
+
+        def f(x):
+            return slope * (x - root) * (far - x if quadratic else 1.0)
+
+        result = solve(Problem(id="hyp", f=f, bracket=Interval(lo, hi)),
+                       SolveOptions(sections=sections))
+        s = solver.sign(f(lo))
+        assert all(solver.sign(f(c)) == s for c in result.steps.chosen_lo)
+
+
+class TestNoReferenceCycles:
+    def test_a_solve_leaves_no_cyclic_garbage(self):
+        problems = corpus()
+        gc.collect()
+        gc.disable()
+        try:
+            for sections in (5, 13, 250):  # the list pass and the array pass
+                for problem in problems:
+                    solve(problem, SolveOptions(sections=sections))
+                    solve(Problem(problem.id, ScalarOnly(problem.f), problem.bracket),
+                          SolveOptions(sections=sections))
+            for problem in problems:
+                verify_error_bounds(
+                    Problem(problem.id, ScalarOnly(problem.f), problem.bracket,
+                            problem.reference_root), 10)
+            for sections in (5, 50):
+                multisect_step(Interval(0.0, 1.0), lambda x: x - 0.35, sections)
+                multisect_step(Interval(0.0, 1.0), ScalarOnly(lambda x: x - 0.35), sections)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLinearProperties:
