@@ -39,7 +39,13 @@ from fractions import Fraction
 from typing import Optional, Protocol
 
 from .errors import ClockError, DegenerateError, DomainError, FitError
-from .model import CostModel, EfficiencyReport, ProblemScale, efficiency_report
+from .model import (
+    DEFAULT_N_VALUES,
+    CostModel,
+    EfficiencyReport,
+    ProblemScale,
+    efficiency_report,
+)
 from .solver import (
     Problem,
     SolveOptions,
@@ -104,7 +110,7 @@ class SweepConfig:
     """What to measure: which problem, which N values, how many loops."""
 
     problem: Problem
-    n_values: Sequence[int] = tuple(range(2, 251))
+    n_values: Sequence[int] = DEFAULT_N_VALUES
     min_loops: int = 1000
     warmup_loops: int = 100
 

@@ -56,7 +56,7 @@ from .errors import (
     FitError,
     MultisectionError,
 )
-from .model import CostModel, ProblemScale, efficiency_report
+from .model import DEFAULT_N_VALUES, CostModel, ProblemScale, efficiency_report
 from .solver import Interval, Problem, SolveOptions, solve
 
 logger = logging.getLogger(__name__)
@@ -197,7 +197,7 @@ def build_parser() -> _Parser:
     p_cal = sub.add_parser("calibrate", help="sweep, fit, and report")
     _add_selector(p_cal)
     p_cal.add_argument("--n-values", type=_parse_n_values,
-                       default=tuple(range(2, 251)), metavar="N1,N2,...")
+                       default=DEFAULT_N_VALUES, metavar="N1,N2,...")
     p_cal.add_argument("--min-loops", type=int, default=1000)
     p_cal.add_argument("--warmup-loops", type=int, default=100)
     p_cal.add_argument("--out", required=True, metavar="DIR",
@@ -215,7 +215,7 @@ def build_parser() -> _Parser:
     p_pred.add_argument("--mu", type=float, default=2.0 ** -52)
     p_pred.add_argument("--curve", metavar="PATH", default=None,
                         help="write the (N, T_t) curve as CSV to PATH")
-    p_pred.add_argument("--n-max", type=int, default=250)
+    p_pred.add_argument("--n-max", type=int, default=DEFAULT_N_VALUES[-1])
     p_pred.add_argument("--json", action="store_true")
 
     p_app = sub.add_parser("appendix", help="bound and underflow diagnostics")
@@ -299,10 +299,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     write_sweep_csv(result.samples, csv_path)
     report, fit = result.report, result.fit
     report_path.write_text(json.dumps({
+        "m": fit.m,
+        "c": fit.c,
         "R": report.R,
         "n_min_real": report.n_min_real,
         "n_min_integer": report.n_min_integer,
         "rel_eff": report.rel_eff,
+        "rel_eff_integer": report.rel_eff_integer,
         "r_squared": fit.r_squared,
         "measured_ratio": result.measured_ratio,
     }, indent=2) + "\n")

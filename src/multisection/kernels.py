@@ -5,11 +5,13 @@ Two engines produce :class:`~multisection.solver.SolveResult` objects:
 * ``"numpy"`` — the reference loop in :mod:`multisection.solver`, which
   evaluates each iteration's nodes with one vectorized call.
 * ``"numba"`` — a compiled kernel built per target function by closing a
-  nopython loop over the jitted callable.  The kernel replays the
-  reference semantics step for step (same node arithmetic, leftmost
-  sign-change scan and tracked-width termination) and fills the arrays
-  the solver builds every backend's trace from, so results agree with
-  the numpy path apart from last-ulp libm differences in f itself.
+  nopython loop over the jitted callable.  It keeps the reference loop's
+  node arithmetic, tracked-width termination and departure rule: every
+  chosen left end keeps the sign ``s`` of f at the bracket's left end,
+  so the chosen subinterval ends at the first node with ``s*f(x) <= 0``,
+  else at hi.  It fills the arrays the solver builds every backend's
+  trace from, so results agree with the numpy path apart from last-ulp
+  libm differences in f itself.
 
 Selection order: an explicit ``backend=`` argument, then the
 MULTISECTION_BACKEND environment variable, then auto-detection (numba if
@@ -23,6 +25,7 @@ path; the failure is cached so the compile is attempted only once.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 from typing import Optional
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, NoSignChangeError
 from .solver import (
+    NO_SIGN_CHANGE_MESSAGE,
     Problem,
     SolveOptions,
     SolveResult,
@@ -47,33 +51,25 @@ BACKEND_ENV = "MULTISECTION_BACKEND"
 
 VALID_BACKENDS = ("numba", "numpy")
 
-# None = not probed yet; False = unavailable; otherwise the module.
-_numba_module = None
-_probed = False
+# Kernel exit codes; the first four index _TERMINATIONS.
+_WIDTH, _EXACT, _RESIDUAL, _MAXITER, _NAN, _NO_SIGN_CHANGE = range(6)
+_TERMINATIONS = (Termination.WIDTH_REACHED, Termination.EXACT_ZERO,
+                 Termination.RESIDUAL_REACHED, Termination.MAX_ITERATIONS)
 
-_jit_cache: dict = {}
-_kernel_cache: dict = {}
-
-# Kernel termination codes (must match _make_kernel's returns).
-_TERM_WIDTH = 0
-_TERM_EXACT = 1
-_TERM_RESIDUAL = 2
-_TERM_MAXITER = 3
-_TERM_NAN = 4
-_TERM_NO_SIGN_CHANGE = 5
+# f -> (jitted f, its kernel), or None when numba is missing or cannot
+# jit f; a compile that fails on the first call replaces the pair by None.
+_compiled: dict = {}
 
 
+@functools.cache
 def _get_numba():
-    global _numba_module, _probed
-    if not _probed:
-        _probed = True
-        try:
-            import numba as _nb
-            _numba_module = _nb
-        except ImportError:
-            _numba_module = False
-            logger.info("numba not importable; numpy backend only")
-    return _numba_module or None
+    """The numba module, or None when it cannot be imported."""
+    try:
+        import numba
+    except ImportError:
+        logger.info("numba not importable; numpy backend only")
+        return None
+    return numba
 
 
 def numba_available() -> bool:
@@ -107,119 +103,81 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
     return name
 
 
-def _jitted(f):
-    """Jit-compile f for scalar arguments, or None if numba can't."""
-    if f in _jit_cache:
-        return _jit_cache[f]
-    nb = _get_numba()
-    if nb is None:
-        _jit_cache[f] = None
-        return None
-    try:
-        dispatcher = nb.njit(cache=True)(f)
-    except Exception:
-        dispatcher = None
-    _jit_cache[f] = dispatcher
-    return dispatcher
-
-
 def _make_kernel(nb, fj):
     """Build the nopython solve loop closed over the jitted function.
 
-    The closure over a dispatcher rules out numba's on-disk cache, so
-    each (function, process) pair pays one compile; the dispatcher is
-    memoized in ``_kernel_cache``.
+    One loop over the nodes evaluates each, exits on NaN and marks the
+    first node that departs from ``s``, the sign of f at the bracket's
+    left end (``s*f(x) <= 0``); with none, the subinterval ends at hi.
+    The point before the departing one keeps ``s``, so only the departing
+    point can be an exact zero: ``f_lo`` is never 0 here, because an
+    endpoint zero ends the solve before the kernel runs.  The closure over
+    a dispatcher rules out numba's on-disk cache, so each (function,
+    process) pair pays one compile; the pair is memoized in
+    ``_compiled``.
     """
 
     @nb.njit(cache=False)
     def kernel(lo, hi, f_lo, f_hi, sections, tol, rtol, cap,
                nodes_x, nodes_f, chosen_lo, chosen_hi):
+        s = 1.0
+        if f_lo < 0.0:
+            s = -1.0
         w = hi - lo
         it = 0
-        while True:
-            if w <= tol:
-                root = lo + (hi - lo) / 2.0
-                return _TERM_WIDTH, root, fj(root), it
-            if it >= cap:
-                root = lo + (hi - lo) / 2.0
-                return _TERM_MAXITER, root, fj(root), it
-
+        while w > tol and it < cap:
             span = hi - lo
+            k = sections - 1  # hi, unless a node departs first
             for j in range(1, sections):
                 x = lo + (j * span) / sections
                 fx = fj(x)
                 if fx != fx:
-                    return _TERM_NAN, x, fx, it
+                    return _NAN, x, fx, it
                 nodes_x[it, j - 1] = x
                 nodes_f[it, j - 1] = fx
-
-            # Leftmost pair of adjacent points whose signs differ; a zero
-            # has sign 0 and so differs from any nonzero neighbor.
-            seg = -1
-            px = lo
-            pf = f_lo
-            ps = int(0 < pf) - int(pf < 0)
-            for k in range(sections):
-                if k < sections - 1:
-                    cx = nodes_x[it, k]
-                    cf = nodes_f[it, k]
-                else:
-                    cx = hi
-                    cf = f_hi
-                cs = int(0 < cf) - int(cf < 0)
-                if cs != ps:
-                    seg = k
-                    break
-                px = cx
-                pf = cf
-                ps = cs
-            if seg < 0:
-                return _TERM_NO_SIGN_CHANGE, lo, f_lo, it
-
-            if seg < sections - 1:
-                cx = nodes_x[it, seg]
-                cf = nodes_f[it, seg]
-            else:
-                cx = hi
-                cf = f_hi
-            chosen_lo[it] = px
-            chosen_hi[it] = cx
+                if k == sections - 1 and s * fx <= 0.0:
+                    k = j - 1
+            if k < sections - 1:
+                hi = nodes_x[it, k]
+                f_hi = nodes_f[it, k]
+            elif s * f_hi > 0.0:
+                return _NO_SIGN_CHANGE, hi, f_hi, it
+            if k > 0:
+                lo = nodes_x[it, k - 1]
+            chosen_lo[it] = lo
+            chosen_hi[it] = hi
             it += 1
             w /= sections
 
-            if cf == 0.0:
-                return _TERM_EXACT, cx, 0.0, it
-            if pf == 0.0:
-                return _TERM_EXACT, px, 0.0, it
-
+            if f_hi == 0.0:
+                return _EXACT, hi, 0.0, it
             if rtol > 0.0:
                 best = 0
-                for k in range(1, sections - 1):
-                    if abs(nodes_f[it - 1, k]) < abs(nodes_f[it - 1, best]):
-                        best = k
+                for j in range(1, sections - 1):
+                    if abs(nodes_f[it - 1, j]) < abs(nodes_f[it - 1, best]):
+                        best = j
                 if abs(nodes_f[it - 1, best]) <= rtol:
-                    return (_TERM_RESIDUAL, nodes_x[it - 1, best],
+                    return (_RESIDUAL, nodes_x[it - 1, best],
                             nodes_f[it - 1, best], it)
 
-            lo = px
-            hi = cx
-            f_lo = pf
-            f_hi = cf
+        root = lo + (hi - lo) / 2.0
+        if w <= tol:
+            return _WIDTH, root, fj(root), it
+        return _MAXITER, root, fj(root), it
 
     return kernel
 
 
-def _kernel_for(f):
-    """The compiled kernel for target function f, or None."""
-    if f in _kernel_cache:
-        return _kernel_cache[f]
-    kernel = None
-    fj = _jitted(f)
-    if fj is not None:
+def _compile(f):
+    """The jitted f and its kernel, or None; see ``_compiled``."""
+    if f not in _compiled:
         nb = _get_numba()
-        kernel = _make_kernel(nb, fj)
-    _kernel_cache[f] = kernel
-    return kernel
+        try:
+            fj = None if nb is None else nb.njit(cache=True)(f)
+        except Exception:
+            fj = None
+        _compiled[f] = None if fj is None else (fj, _make_kernel(nb, fj))
+    return _compiled[f]
 
 
 def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult]:
@@ -227,11 +185,10 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
 
     Endpoint values are computed with the jitted function too, so the
     whole run sees one evaluation engine."""
-    kernel = _kernel_for(problem.f)
-    if kernel is None:
+    compiled = _compile(problem.f)
+    if compiled is None:
         return None
-    fj = _jit_cache[problem.f]
-    nb = _get_numba()
+    fj, kernel = compiled
 
     sections = options.sections
     try:
@@ -253,25 +210,15 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
             options.width_tolerance, options.residual_tolerance, cap,
             nodes_x, nodes_f, chosen_lo, chosen_hi,
         )
-    except nb.core.errors.NumbaError:
+    except _get_numba().core.errors.NumbaError:
         logger.warning("numba compile failed for %r; falling back", problem.id)
-        _kernel_cache[problem.f] = None
+        _compiled[problem.f] = None
         return None
 
-    if term == _TERM_NAN:
+    if term == _NAN:
         raise EvaluationError(f"f({root}) is NaN")
-    if term == _TERM_NO_SIGN_CHANGE:
-        raise NoSignChangeError(
-            "no adjacent evaluation pair changes sign; "
-            "is the function deterministic?"
-        )
-
-    termination = {
-        _TERM_WIDTH: Termination.WIDTH_REACHED,
-        _TERM_EXACT: Termination.EXACT_ZERO,
-        _TERM_RESIDUAL: Termination.RESIDUAL_REACHED,
-        _TERM_MAXITER: Termination.MAX_ITERATIONS,
-    }[term]
+    if term == _NO_SIGN_CHANGE:
+        raise NoSignChangeError(NO_SIGN_CHANGE_MESSAGE)
 
     iterations = int(iterations)
     return SolveResult(
@@ -279,7 +226,7 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
         residual=float(residual),
         iterations=iterations,
         function_evaluations=2 + (sections - 1) * iterations,
-        termination=termination,
+        termination=_TERMINATIONS[term],
         steps=Steps(problem.bracket, nodes_x[:iterations], nodes_f[:iterations],
                     chosen_lo[:iterations], chosen_hi[:iterations]),
     )

@@ -51,6 +51,10 @@ __all__ = [
     "efficiency_report",
 ]
 
+#: The section counts a sweep measures and a report's curve spans unless
+#: told otherwise.
+DEFAULT_N_VALUES = tuple(range(2, 251))
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -174,7 +178,7 @@ def rel_eff(R: float) -> float:
 def efficiency_report(
     cost: CostModel,
     scale: ProblemScale,
-    n_range: Iterable[int] = range(2, 251),
+    n_range: Iterable[int] = DEFAULT_N_VALUES,
 ) -> EfficiencyReport:
     """Assemble N_min, RelEff, and the T_t curve over ``n_range``.
 

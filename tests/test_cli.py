@@ -170,8 +170,8 @@ class TestCalibrate:
 
         report = json.loads((out_dir / "report.json").read_text())
         assert set(report) == {
-            "R", "n_min_real", "n_min_integer", "rel_eff",
-            "r_squared", "measured_ratio",
+            "m", "c", "R", "n_min_real", "n_min_integer", "rel_eff",
+            "rel_eff_integer", "r_squared", "measured_ratio",
         }
         assert abs(report["R"] - 250.0) <= 1e-6
         assert report["n_min_integer"] == 75
