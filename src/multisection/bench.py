@@ -233,8 +233,8 @@ class SyntheticRunner:
 def measure_loop_time(
     problem: Problem,
     N: int,
-    min_loops: int = 1000,
-    warmup_loops: int = 100,
+    min_loops: int = SweepConfig.min_loops,
+    warmup_loops: int = SweepConfig.warmup_loops,
     *,
     runner: Optional[LoopRunner] = None,
 ) -> TimingSample:
@@ -246,44 +246,43 @@ def measure_loop_time(
     dispersion is the sample standard deviation of all ten per-batch
     means, and ``loop_count`` counts every timed loop.  Raises
     :class:`ClockError` when the clock's resolution exceeds 1% of the
-    measured span.
+    measured span.  Bad loop counts raise :class:`DomainError`, as in
+    :class:`SweepConfig`.
     """
     check_sections(N, "N")
-    return _measure(problem, [N], min_loops, warmup_loops, runner)[0]
+    config = SweepConfig(problem=problem, n_values=(N,), min_loops=min_loops,
+                         warmup_loops=warmup_loops)
+    return sweep(config, runner)[0]
 
 
-def _measure(
-    problem: Problem,
-    ns: Sequence[int],
-    min_loops: int,
-    warmup_loops: int,
-    runner: Optional[LoopRunner],
-) -> list[TimingSample]:
-    """One TimingSample per N in ``ns``, measured interleaved: the warmup
-    at every N first, then ten rounds in which each N runs one batch.
-    Round k visits the N in the order ``random.Random(k)`` shuffles them
-    to.
+def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[TimingSample]:
+    """One TimingSample per configured N (see :func:`measure_loop_time`
+    for what one sample holds), sorted by N; duplicate N values are
+    measured once.
 
-    A step in the host's speed partway through then lands on every N
-    alike instead of on the N measured after it, which would tilt the
-    fitted slope (and with a per-node cost this small, flip its sign);
-    the shuffle keeps a slow stretch of a round from falling on the same
-    N in every round.
+    The N are measured interleaved: the warmup at every N first, then ten
+    rounds in which each N runs one batch.  Round k visits the N in the
+    order ``random.Random(k)`` shuffles them to.  A step in the host's
+    speed partway through then lands on every N alike instead of on the
+    N measured after it, which would tilt the fitted slope (and with a
+    per-node cost this small, flip its sign); the shuffle keeps a slow
+    stretch of a round from falling on the same N in every round.
     """
     if runner is None:
         runner = WallClockRunner()
+    ns = sorted(set(config.n_values))
     options = [SolveOptions(sections=n) for n in ns]
-    if warmup_loops > 0:
+    if config.warmup_loops > 0:
         for opts in options:
-            runner.timed_loops(problem, opts, warmup_loops)
+            runner.timed_loops(config.problem, opts, config.warmup_loops)
 
-    batch_target = -(-min_loops // _N_BATCHES)
+    batch_target = -(-config.min_loops // _N_BATCHES)
     batches: list[list[tuple[int, float]]] = [[] for _ in ns]
     for round_index in range(_N_BATCHES):
         visits = list(zip(options, batches))
         random.Random(round_index).shuffle(visits)
         for opts, timed in visits:
-            timed.append(runner.timed_loops(problem, opts, batch_target))
+            timed.append(runner.timed_loops(config.problem, opts, batch_target))
 
     samples = []
     for n, timed in zip(ns, batches):
@@ -302,25 +301,8 @@ def _measure(
             stddev_loop_seconds=statistics.stdev(batch_means),
             loop_count=sum(loops for loops, _ in timed),
         ))
-    return samples
-
-
-def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[TimingSample]:
-    """One TimingSample per configured N, with the N interleaved: every
-    round of batches visits each N once, in a seeded shuffled order (see
-    :func:`measure_loop_time` for what one sample holds).
-
-    Duplicate N values are measured once; output is sorted by N.
-    """
-    ns = sorted(set(config.n_values))
-    samples = _measure(
-        config.problem, ns, config.min_loops, config.warmup_loops, runner
-    )
-    for sample in samples:
-        logger.info(
-            "sweep %s: N=%d mean=%.3e s/loop",
-            config.problem.id, sample.N, sample.mean_loop_seconds,
-        )
+        logger.info("sweep %s: N=%d mean=%.3e s/loop",
+                    config.problem.id, n, samples[-1].mean_loop_seconds)
     return samples
 
 

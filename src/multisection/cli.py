@@ -56,8 +56,9 @@ from .errors import (
     FitError,
     MultisectionError,
 )
+from .kernels import VALID_BACKENDS
 from .model import DEFAULT_N_VALUES, CostModel, ProblemScale, efficiency_report
-from .solver import Interval, Problem, SolveOptions, solve
+from .solver import MACHINE_WIDTH, Interval, Problem, SolveOptions, solve
 
 logger = logging.getLogger(__name__)
 
@@ -187,24 +188,26 @@ def build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="run one solve")
     _add_selector(p_solve)
-    p_solve.add_argument("--sections", type=int, default=2, metavar="N")
-    p_solve.add_argument("--width-tolerance", type=float, default=2.0 ** -52)
-    p_solve.add_argument("--residual-tolerance", type=float, default=0.0)
+    p_solve.add_argument("--sections", type=int, default=SolveOptions.sections, metavar="N")
+    p_solve.add_argument("--width-tolerance", type=float,
+                         default=SolveOptions.width_tolerance)
+    p_solve.add_argument("--residual-tolerance", type=float,
+                         default=SolveOptions.residual_tolerance)
     p_solve.add_argument("--max-iterations", type=int, default=None)
-    p_solve.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    p_solve.add_argument("--backend", choices=VALID_BACKENDS, default=None)
     p_solve.add_argument("--json", action="store_true")
 
     p_cal = sub.add_parser("calibrate", help="sweep, fit, and report")
     _add_selector(p_cal)
     p_cal.add_argument("--n-values", type=_parse_n_values,
                        default=DEFAULT_N_VALUES, metavar="N1,N2,...")
-    p_cal.add_argument("--min-loops", type=int, default=1000)
-    p_cal.add_argument("--warmup-loops", type=int, default=100)
+    p_cal.add_argument("--min-loops", type=int, default=SweepConfig.min_loops)
+    p_cal.add_argument("--warmup-loops", type=int, default=SweepConfig.warmup_loops)
     p_cal.add_argument("--out", required=True, metavar="DIR",
                        help="output directory for sweep.csv, report.json, manifest.json")
     p_cal.add_argument("--synthetic", type=_parse_synthetic, default=None,
                        metavar="M,C", help="use a fake clock with loop time M*N+C")
-    p_cal.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    p_cal.add_argument("--backend", choices=VALID_BACKENDS, default=None)
 
     p_pred = sub.add_parser("predict", help="evaluate the optimal-N model")
     p_pred.add_argument("--ratio", type=float, default=None, metavar="R",
@@ -212,7 +215,7 @@ def build_parser() -> _Parser:
     p_pred.add_argument("--m", type=float, default=None, help="seconds per section per loop")
     p_pred.add_argument("--c", type=float, default=None, help="seconds per loop overhead")
     p_pred.add_argument("--width", type=float, default=1.0)
-    p_pred.add_argument("--mu", type=float, default=2.0 ** -52)
+    p_pred.add_argument("--mu", type=float, default=ProblemScale.mu)
     p_pred.add_argument("--curve", metavar="PATH", default=None,
                         help="write the (N, T_t) curve as CSV to PATH")
     p_pred.add_argument("--n-max", type=int, default=DEFAULT_N_VALUES[-1])
@@ -220,9 +223,9 @@ def build_parser() -> _Parser:
 
     p_app = sub.add_parser("appendix", help="bound and underflow diagnostics")
     p_app.add_argument("--width", type=float, required=True)
-    p_app.add_argument("--sections", type=int, default=2, metavar="N")
-    p_app.add_argument("--eps", type=float, default=2.0 ** -52)
-    p_app.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    p_app.add_argument("--sections", type=int, default=SolveOptions.sections, metavar="N")
+    p_app.add_argument("--eps", type=float, default=MACHINE_WIDTH)
+    p_app.add_argument("--backend", choices=VALID_BACKENDS, default=None)
 
     return parser
 

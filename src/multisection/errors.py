@@ -29,9 +29,10 @@ class EvaluationError(MultisectionError):
 class NoSignChangeError(MultisectionError):
     """No subinterval of the current partition exhibits a sign change.
 
-    This cannot happen for a deterministic function that bracketed a root
-    at the previous step; it exists to fail loudly instead of looping if a
-    non-deterministic or stateful callable is supplied.
+    Only :func:`~multisection.solver.multisect_step` can raise it, when
+    the endpoint values it is given have the same sign.  A solve cannot,
+    even with a stateful f: it keeps the endpoint values its bracket check
+    saw, and each chosen right end departs from the sign at the left end.
     """
 
 

@@ -19,8 +19,9 @@ importable).  numba is an optional dependency; importing this module does
 not import it — the probe happens on first use and is remembered.
 
 A function that numba cannot compile (closures over Python objects,
-calls into arbitrary extensions, ...) silently falls back to the numpy
-path; the failure is cached so the compile is attempted only once.
+calls into arbitrary extensions, ...) falls back to the numpy path with
+a logged warning; the failure is cached so the compile is attempted
+only once.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, NoSignChangeError
+from .errors import DomainError, EvaluationError
 from .solver import (
-    NO_SIGN_CHANGE_MESSAGE,
     Problem,
     SolveOptions,
     SolveResult,
@@ -52,7 +52,7 @@ BACKEND_ENV = "MULTISECTION_BACKEND"
 VALID_BACKENDS = ("numba", "numpy")
 
 # Kernel exit codes; the first four index _TERMINATIONS.
-_WIDTH, _EXACT, _RESIDUAL, _MAXITER, _NAN, _NO_SIGN_CHANGE = range(6)
+_WIDTH, _EXACT, _RESIDUAL, _MAXITER, _NAN = range(5)
 _TERMINATIONS = (Termination.WIDTH_REACHED, Termination.EXACT_ZERO,
                  Termination.RESIDUAL_REACHED, Termination.MAX_ITERATIONS)
 
@@ -108,7 +108,9 @@ def _make_kernel(nb, fj):
 
     One loop over the nodes evaluates each, exits on NaN and marks the
     first node that departs from ``s``, the sign of f at the bracket's
-    left end (``s*f(x) <= 0``); with none, the subinterval ends at hi.
+    left end (``s*f(x) <= 0``); with none, the subinterval ends at hi,
+    which always departs: the bracket's ends have opposite signs, and
+    each chosen hi departs.
     The point before the departing one keeps ``s``, so only the departing
     point can be an exact zero: ``f_lo`` is never 0 here, because an
     endpoint zero ends the solve before the kernel runs.  The closure over
@@ -140,8 +142,6 @@ def _make_kernel(nb, fj):
             if k < sections - 1:
                 hi = nodes_x[it, k]
                 f_hi = nodes_f[it, k]
-            elif s * f_hi > 0.0:
-                return _NO_SIGN_CHANGE, hi, f_hi, it
             if k > 0:
                 lo = nodes_x[it, k - 1]
             chosen_lo[it] = lo
@@ -217,8 +217,6 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
 
     if term == _NAN:
         raise EvaluationError(f"f({root}) is NaN")
-    if term == _NO_SIGN_CHANGE:
-        raise NoSignChangeError(NO_SIGN_CHANGE_MESSAGE)
 
     iterations = int(iterations)
     return SolveResult(

@@ -360,11 +360,6 @@ def validate_bracket(problem: Problem) -> tuple[int, int]:
     return sign(f_lo), sign(f_hi)
 
 
-#: What :class:`NoSignChangeError` says on every backend.
-NO_SIGN_CHANGE_MESSAGE = ("no adjacent evaluation pair changes sign; "
-                          "is the function deterministic?")
-
-
 #: Section counts at or below this take the list pass: the nodes are
 #: built and scanned as Python floats around one array call of f, which
 #: beats numpy's per-call overhead on a handful of nodes.  Above it the
@@ -478,7 +473,8 @@ class _Stepper:
         elif self.departs(f_hi, 0.0):
             k, x, fx = self.sections - 1, hi, f_hi
         else:
-            raise NoSignChangeError(NO_SIGN_CHANGE_MESSAGE)
+            raise NoSignChangeError("no adjacent evaluation pair changes sign; "
+                                    "is the function deterministic?")
         if k > 0:
             lo, f_lo = float(xs[k - 1]), float(fs[k - 1])
         exact = x if fx == 0.0 else lo if f_lo == 0.0 else None

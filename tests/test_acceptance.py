@@ -33,7 +33,6 @@ from multisection import (
     underflow_exponent,
     verify_error_bounds,
 )
-from multisection.bench import fit_linear, sweep
 from multisection.cli import main as cli_main
 from multisection.convergence import BoundSequence
 
@@ -222,6 +221,7 @@ def test_criterion_6_synthetic_calibration():
     assert ratio_rel <= 0.02
 
 
+@pytest.mark.host_timing
 def test_criterion_7_real_host_sweep_soft():
     problem = corpus()[2]
     config = SweepConfig(problem=problem, n_values=range(2, 251),

@@ -17,8 +17,6 @@ from multisection import (
     DomainError,
     EvaluationError,
     Interval,
-    MultisectionError,
-    NoSignChangeError,
     Problem,
     SolveOptions,
     Termination,
@@ -28,7 +26,9 @@ from multisection import (
     solve,
     verify_error_bounds,
 )
-from multisection import kernels, solver
+from multisection import kernels
+from test_contract import (CASES, InterpretedNumba, check, linear, outcome,
+                           use_interpreted_numba)
 
 ENV = "MULTISECTION_BACKEND"
 
@@ -148,36 +148,6 @@ class TestParity:
             solve(bad, backend="numba")
 
 
-class _InterpretedNumba:
-    """Stands in for numba with ``njit`` as the identity, so the compiled
-    backend's kernel runs as plain Python.  With ``compile_fails`` set,
-    a jitted function raises ``NumbaError`` when called, as numba does
-    when the first call's compile fails."""
-
-    compile_fails = False
-
-    class core:
-        class errors:
-            class NumbaError(Exception):
-                pass
-
-    @classmethod
-    def njit(cls, *args, **kwargs):
-        def jit(fn):
-            if not cls.compile_fails:
-                return fn
-
-            def fails(*args):
-                raise cls.core.errors.NumbaError(f"cannot compile {fn.__name__}")
-            return fails
-        return jit
-
-
-def _tied(x):
-    """-1 up to 0.5 and +1 above it, so every node ties for the least |f|."""
-    return (x > 0.5) * 2.0 - 1.0
-
-
 class _FlipsAfterEndpoints:
     """``x - 0.5`` for its first two calls (the bracket's ends), then
     ``0.5 - x``: a stateful f whose nodes disagree with its endpoints."""
@@ -190,117 +160,41 @@ class _FlipsAfterEndpoints:
         return x - 0.5 if self.calls <= 2 else 0.5 - x
 
 
-def _node(j, sections):
-    """Node j of [0, 1] by the solver's node arithmetic."""
-    return 0.0 + (j * 1.0) / sections
-
-
-def _linear(root, nan_at=math.nan):
-    """``x - root`` on [0, 1], NaN at ``nan_at``."""
-    def f(x):
-        return np.where(x == nan_at, np.nan, x - root)
-    return Problem(id=f"linear-{root}", f=f, bracket=Interval(0.0, 1.0))
-
-
-_GRID_OPTIONS = {
-    "default": {},
-    "cap0": {"max_iterations": 0},
-    "cap3": {"max_iterations": 3},
-    "residual": {"residual_tolerance": 1e-9},
-    "residual-tied": {"residual_tolerance": 1.0},
-}
-
-_GRID = [
-    pytest.param(problem, SolveOptions(sections=n, **options),
-                 id=f"{problem.id}-N{n}-{name}")
-    for problem in (*corpus(), Problem(id="tied", f=_tied, bracket=Interval(0.0, 1.0)))
-    for n in (2, 3, 5, 12, 13, 81, 250)
-    for name, options in _GRID_OPTIONS.items()
-] + [
-    pytest.param(problem, SolveOptions(sections=n), id=f"{case}-N{n}")
-    for n in (4, 13)
-    for case, problem in (
-        ("nan-left", _linear(0.6, nan_at=_node(1, n))),
-        ("nan-right", _linear(0.6, nan_at=_node(n - 1, n))),
-        ("zero-first-node", _linear(_node(1, n))),
-        ("zero-last-node", _linear(_node(n - 1, n))),
-        ("zero-lo", _linear(0.0)),
-        ("zero-hi", _linear(1.0)),
-    )
-]
-
-
-def _outcome(problem, options, backend):
-    """The result and its trace, or the error's type and message."""
-    try:
-        result = solve(problem, options, backend=backend)
-    except MultisectionError as exc:
-        return type(exc), str(exc)
-    return result, result.trace
-
-
 class TestInterpretedKernel:
     """The numba kernel's logic, run uncompiled: its results, trace
     included, must equal the numpy path's record for record."""
 
     @pytest.fixture(autouse=True)
     def interpreted_numba(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_get_numba", lambda: _InterpretedNumba)
-        monkeypatch.setattr(kernels, "_compiled", {})
+        use_interpreted_numba(monkeypatch)
 
     @pytest.mark.parametrize("sections", [2, 3, 5, 81])
-    def test_corpus_matches_numpy_path(self, sections):
-        options = SolveOptions(sections=sections)
+    def test_corpus_matches_numpy_path(self, monkeypatch, sections):
         for problem in corpus():
-            compiled = solve(problem, options, backend="numba")
-            reference = solve(problem, options, backend="numpy")
-            assert compiled.trace == reference.trace
-            assert compiled == reference
+            check("kernel", problem, SolveOptions(sections=sections), monkeypatch)
 
-    def test_residual_and_cap_stops(self):
+    def test_residual_and_cap_stops(self, monkeypatch):
         for options in (SolveOptions(sections=3, residual_tolerance=1e-6),
                         SolveOptions(sections=2, max_iterations=5)):
-            compiled = solve(corpus()[2], options, backend="numba")
-            assert compiled == solve(corpus()[2], options, backend="numpy")
+            check("kernel", corpus()[2], options, monkeypatch)
 
-    def test_endpoint_zero(self):
-        p = Problem(id="zero-lo", f=lambda x: x, bracket=Interval(0.0, 1.0))
-        result = solve(p, backend="numba")
-        assert result.termination is Termination.EXACT_ZERO
-        assert result.trace == ()
+    def test_endpoint_zero(self, monkeypatch):
+        check("kernel", linear(0.0), SolveOptions(), monkeypatch)
 
-    @pytest.mark.parametrize("problem,options", _GRID)
-    def test_conformance_grid(self, problem, options):
-        assert _outcome(problem, options, "numba") == \
-            _outcome(problem, options, "numpy")
+    @pytest.mark.parametrize("problem,options,raises", CASES)
+    def test_conformance_grid(self, monkeypatch, problem, options, raises):
+        check("kernel", problem, options, monkeypatch, raises)
 
     @pytest.mark.parametrize("sections", [2, 4, 13])
     def test_stateful_function(self, sections):
         options = SolveOptions(sections=sections)
-        outcomes = [_outcome(Problem(id="flips", f=_FlipsAfterEndpoints(),
-                                     bracket=Interval(0.0, 1.0)), options, backend)
+        outcomes = [outcome(Problem(id="flips", f=_FlipsAfterEndpoints(),
+                                    bracket=Interval(0.0, 1.0)), options, backend)
                     for backend in ("numba", "numpy")]
         assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize("sections", [2, 4, 13])
-    def test_no_sign_change_error(self, monkeypatch, sections):
-        # a solve keeps the endpoint values its bracket check saw, so no
-        # f can end a solve this way; ends that do not change sign, with
-        # the check skipped, do on both backends
-        def unchecked(f, bracket):
-            return float(f(bracket.lo)), float(f(bracket.hi)), None
-
-        monkeypatch.setattr(solver, "_validate_endpoints", unchecked)
-        monkeypatch.setattr(kernels, "_validate_endpoints", unchecked)
-        p = Problem(id="no-change", f=lambda x: x * x + 1.0,
-                    bracket=Interval(-1.0, 1.0))
-        options = SolveOptions(sections=sections)
-        outcome = _outcome(p, options, "numba")
-        assert outcome == _outcome(p, options, "numpy")
-        assert outcome[0] is NoSignChangeError
-
     def test_compile_failure_falls_back(self, monkeypatch, caplog):
-        monkeypatch.setattr(_InterpretedNumba, "compile_fails", True)
+        monkeypatch.setattr(InterpretedNumba, "compile_fails", True)
         problem, options = corpus()[2], SolveOptions(sections=3)
         with caplog.at_level(logging.WARNING):
             result = solve(problem, options, backend="numba")

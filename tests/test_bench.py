@@ -1,6 +1,5 @@
 """Timing harness: measurement protocol, exact-arithmetic fit, calibration."""
 
-import math
 
 import pytest
 
@@ -230,18 +229,28 @@ class TestMeasureLoopTime:
         with pytest.raises(DomainError):
             measure_loop_time(corpus()[2], n, runner=SyntheticRunner(1e-9, 1e-7))
 
+    @pytest.mark.parametrize("runner", [SyntheticRunner(1e-9, 1e-7), WallClockRunner()],
+                             ids=["synthetic", "wall-clock"])
+    @pytest.mark.parametrize("name,loops", [("min_loops", 0), ("min_loops", -5),
+                                            ("warmup_loops", -3)])
+    def test_rejects_bad_loop_counts(self, name, loops, runner):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            measure_loop_time(corpus()[2], 4, runner=runner, **{name: loops})
+
     def test_zero_iteration_solve_cannot_be_timed(self):
         p = Problem(id="zero-at-lo", f=lambda x: x, bracket=Interval(0.0, 1.0))
         runner = WallClockRunner(backend="numpy")
         with pytest.raises(DomainError):
             runner.timed_loops(p, SolveOptions(sections=2), 10)
 
+    @pytest.mark.host_timing
     def test_real_clock_smoke(self):
         sample = measure_loop_time(corpus()[2], 2, min_loops=1000,
                                    runner=WallClockRunner(backend="numpy"))
         assert sample.loop_count >= 1000
         assert sample.mean_loop_seconds > 0.0
 
+    @pytest.mark.host_timing
     def test_real_clock_repeatability(self):
         runner = WallClockRunner(backend="numpy")
         a = measure_loop_time(corpus()[2], 50, min_loops=1000, runner=runner)
@@ -380,6 +389,7 @@ class TestCalibrate:
         loops = predicted_max_iterations(corpus()[3].bracket, MU, 2)
         assert result.samples[0].loop_count % loops == 0
 
+    @pytest.mark.host_timing
     def test_real_mini_calibration(self):
         problem = corpus()[2]
         config = SweepConfig(problem=problem, n_values=(2, 120, 250),

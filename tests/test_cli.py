@@ -8,7 +8,7 @@ import subprocess
 
 import pytest
 
-from multisection import Interval, Problem, corpus
+from multisection import Problem, corpus
 from multisection.cli import main
 
 

@@ -28,6 +28,7 @@ from multisection.convergence import (
     QUANTIZATION_ALLOWANCE_ULPS,
     REFERENCE_FLUSH_TO_ZERO_Z,
 )
+from test_contract import ScalarOnly
 
 MU = 2.0 ** -52
 
@@ -208,18 +209,6 @@ class TestVerifyErrorBounds:
                 estimate = record.chosen_subinterval.midpoint()
             err = abs(estimate - problem.reference_root)
             assert margin == bound_at(seq, record.index) - err
-
-
-class ScalarOnly:
-    """Wraps f so that it takes Python floats only."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __call__(self, x):
-        if type(x) is not float:
-            raise TypeError("scalar-only function")
-        return float(self.f(x))
 
 
 def expected_from_trace(problem, sections):

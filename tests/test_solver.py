@@ -27,6 +27,7 @@ from multisection import (
 )
 from multisection import solver
 from multisection.solver import LIST_PASS_MAX_SECTIONS, Steps
+from test_contract import ScalarOnly, check, fields, linear, textbook_multisection
 
 MU = 2.0 ** -52
 
@@ -398,56 +399,13 @@ class TestBisectionEquivalence:
             assert solver_nodes == reference_nodes
 
 
-def textbook_multisection(problem, sections):
-    """Independent N-section replay: scalar f, a list scan for the leftmost
-    sign change, the same tracked width.  One (nodes, values, chosen lo,
-    chosen hi) tuple per iteration."""
-    def sgn(v):
-        return (v > 0) - (v < 0)
-
-    f = problem.f
-    lo, hi = problem.bracket.lo, problem.bracket.hi
-    f_lo, f_hi = float(f(lo)), float(f(hi))
-    steps = []
-    w = hi - lo
-    while w > MU:
-        span = hi - lo
-        xs = [lo + (j * span) / sections for j in range(1, sections)]
-        fs = [float(f(x)) for x in xs]
-        pts = list(zip([lo, *xs, hi], [f_lo, *fs, f_hi]))
-        k = next(k for k in range(1, len(pts)) if sgn(pts[k][1]) != sgn(pts[k - 1][1]))
-        (lo, f_lo), (hi, f_hi) = pts[k - 1], pts[k]
-        steps.append((xs, fs, lo, hi))
-        w /= sections
-        if f_lo == 0.0 or f_hi == 0.0:
-            break
-    return steps
-
-
 class TestMultisectionOracle:
     @pytest.mark.parametrize("sections", [2, 3, 10, 12, 13, 250, 4096])
     def test_matches_textbook_replay_node_for_node(self, sections):
         for problem in corpus():
-            expected = textbook_multisection(problem, sections)
             trace = solve(problem, SolveOptions(sections=sections)).trace
-            assert len(trace) == len(expected)
-            for record, (xs, fs, lo, hi) in zip(trace, expected):
-                assert record.evaluated_nodes == tuple(zip(xs, fs))
-                assert record.chosen_subinterval == Interval(lo, hi)
-
-
-class ScalarOnly:
-    """Wraps f so that it takes Python floats only, counting its calls."""
-
-    def __init__(self, f):
-        self.f = f
-        self.calls = 0
-
-    def __call__(self, x):
-        if type(x) is not float:
-            raise TypeError("scalar-only function")
-        self.calls += 1
-        return float(self.f(x))
+            assert [(r.evaluated_nodes, r.chosen_subinterval) for r in trace] \
+                == textbook_multisection(problem, sections)
 
 
 SCALAR_OPTIONS = {
@@ -458,36 +416,10 @@ SCALAR_OPTIONS = {
 }
 
 
-def nan_at(bad):
-    """x - 0.5, but NaN at x == bad; takes floats and arrays."""
-    def f(x):
-        return np.where(np.asarray(x) == bad, np.nan, np.asarray(x) - 0.5)
-    return f
-
-
-def scalar_twin_pair(f):
-    """The same f on [0, 1], as given and wrapped in ScalarOnly."""
-    return (Problem(id="vectorised", f=f, bracket=Interval(0.0, 1.0)),
-            Problem(id="scalar", f=ScalarOnly(f), bracket=Interval(0.0, 1.0)))
-
-
 class TestScalarFallback:
-    def test_scalar_only_function_matches_vectorized(self):
+    def test_scalar_only_function_matches_vectorized(self, monkeypatch):
         """A function that rejects arrays must give a bit-identical solve."""
-        reference = solve(corpus()[1], SolveOptions(sections=7))
-
-        def scalar_only(x):
-            return float(np.exp(x)) - 2.0 - x  # float() raises on arrays
-
-        with pytest.raises(TypeError):
-            scalar_only(np.array([1.0, 2.0]))
-
-        p = Problem(id="scalar-exp-gap", f=scalar_only, bracket=Interval(1.0, 4.0))
-        result = solve(p, SolveOptions(sections=7))
-        assert result.root == reference.root
-        assert result.iterations == reference.iterations
-        assert [r.evaluated_nodes for r in result.trace] == \
-               [r.evaluated_nodes for r in reference.trace]
+        check("per-node", corpus()[1], SolveOptions(sections=7), monkeypatch)
 
     def test_array_rejection_is_decided_once_per_solve(self):
         # a list pass and an array pass, either side of the crossover
@@ -509,45 +441,24 @@ class TestScalarFallback:
 
     @pytest.mark.parametrize("option", SCALAR_OPTIONS)
     @pytest.mark.parametrize("sections", [2, 3, 5, 81, 250])
-    def test_scalar_twin_matches_vectorised_on_corpus(self, sections, option):
+    def test_scalar_twin_matches_vectorised_on_corpus(self, monkeypatch, sections, option):
         options = SolveOptions(sections=sections, **SCALAR_OPTIONS[option])
         for problem in corpus():
-            twin = ScalarOnly(problem.f)
-            expected = solve(problem, options)
-            result = solve(Problem(problem.id, twin, problem.bracket), options)
-            assert (result.root, result.residual, result.iterations,
-                    result.function_evaluations, result.termination) == (
-                expected.root, expected.residual, expected.iterations,
-                expected.function_evaluations, expected.termination)
-            assert result.trace == expected.trace
-            probe = result.termination in (Termination.WIDTH_REACHED,
-                                           Termination.MAX_ITERATIONS)
-            assert twin.calls == result.function_evaluations + probe
-            assert all(type(xs) is list and type(fs) is list
-                       for xs, fs in zip(result.steps.nodes_x, result.steps.nodes_f))
+            check("per-node", problem, options, monkeypatch)
 
     @pytest.mark.parametrize("bad", [0.2, 0.8])
-    def test_nan_node_either_side_of_the_sign_change(self, bad):
+    def test_nan_node_either_side_of_the_sign_change(self, monkeypatch, bad):
         for sections in [10, 50]:  # the list pass and the array pass
-            vectorised, scalar = scalar_twin_pair(nan_at(bad))
-            options = SolveOptions(sections=sections)
-            with pytest.raises(EvaluationError) as expected:
-                solve(vectorised, options)
-            with pytest.raises(EvaluationError) as raised:
-                solve(scalar, options)
-            assert str(raised.value) == str(expected.value) == f"f({bad}) is NaN"
-            assert scalar.f.calls == 2 + sections - 1  # every node is evaluated first
+            _, message = check("per-node", linear(0.5, nan_at=bad),
+                               SolveOptions(sections=sections), monkeypatch, EvaluationError)
+            assert message == f"f({bad}) is NaN"
 
     @pytest.mark.parametrize("root,iterations", [(0.1, 1), (0.9, 1), (1.0, 0), (0.0, 0)])
-    def test_exact_zero_at_a_node_or_an_endpoint(self, root, iterations):
+    def test_exact_zero_at_a_node_or_an_endpoint(self, monkeypatch, root, iterations):
         for sections in [10, 50]:  # the list pass and the array pass
-            vectorised, scalar = scalar_twin_pair(lambda x: x - root)
-            options = SolveOptions(sections=sections)
-            expected, result = solve(vectorised, options), solve(scalar, options)
-            assert result == expected
+            result = check("per-node", linear(root), SolveOptions(sections=sections), monkeypatch)
             assert (result.root, result.termination, result.iterations) == (
                 root, Termination.EXACT_ZERO, iterations)
-            assert scalar.f.calls == result.function_evaluations
 
     @pytest.mark.parametrize("root", [0.0, 0.1, 0.35, 0.9, 1.0])
     def test_multisect_step(self, root):
@@ -597,22 +508,6 @@ class TestPassChoice:
                        for xs, fs in zip(result.steps.nodes_x, result.steps.nodes_f))
 
 
-def solve_in_pass(monkeypatch, kept, problem, options):
-    """Solve with the list pass (``kept`` list) or the array pass (``kept``
-    np.ndarray) forced at any N, by moving the crossover."""
-    crossover = options.sections if kept is list else 1
-    monkeypatch.setattr(solver, "LIST_PASS_MAX_SECTIONS", crossover)
-    result = solve(problem, options)
-    assert all(type(xs) is kept and type(fs) is kept
-               for xs, fs in zip(result.steps.nodes_x, result.steps.nodes_f))
-    return result
-
-
-def fields(result):
-    return (result.root, result.residual, result.iterations,
-            result.function_evaluations, result.termination)
-
-
 class TestBothPasses:
     """The list pass and the array pass, each forced at the same N."""
 
@@ -621,10 +516,8 @@ class TestBothPasses:
     def test_same_results_on_the_same_inputs(self, monkeypatch, sections, option):
         options = SolveOptions(sections=sections, **SCALAR_OPTIONS[option])
         for problem in corpus():
-            listed = solve_in_pass(monkeypatch, list, problem, options)
-            arrayed = solve_in_pass(monkeypatch, np.ndarray, problem, options)
-            assert fields(listed) == fields(arrayed)
-            assert listed.trace == arrayed.trace
+            for path in ("list", "array"):
+                check(path, problem, options, monkeypatch)
 
 
 class TestDeterminism:
@@ -682,11 +575,11 @@ class TestTrace:
         results = []
         for problem in corpus()[2:4]:
             for sections in (3, 13):
-                for kept in (list, np.ndarray):
+                for path in ("list", "array"):
                     for kwargs in ({}, dict(max_iterations=0), dict(max_iterations=3)):
-                        results.append(solve_in_pass(
-                            monkeypatch, kept, problem,
-                            SolveOptions(sections=sections, **kwargs)))
+                        results.append(check(path, problem,
+                                             SolveOptions(sections=sections, **kwargs),
+                                             monkeypatch))
         # the same fields, one node value changed
         a = results[0]
         bracket, nodes_x, nodes_f, chosen_lo, chosen_hi = a.steps
