@@ -49,7 +49,7 @@ from .model import (
 from .solver import (
     Problem,
     SolveOptions,
-    check_sections,
+    check_integer,
     predicted_max_iterations,
     solve,
 )
@@ -118,11 +118,9 @@ class SweepConfig:
         if not self.n_values:
             raise DomainError("n_values must be nonempty")
         for n in self.n_values:
-            check_sections(n, "every n_value")
-        if self.min_loops < 1:
-            raise DomainError(f"min_loops must be >= 1, got {self.min_loops}")
-        if self.warmup_loops < 0:
-            raise DomainError(f"warmup_loops must be >= 0, got {self.warmup_loops}")
+            check_integer(n, "every n_value")
+        check_integer(self.min_loops, "min_loops", 1)
+        check_integer(self.warmup_loops, "warmup_loops", 0)
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ def measure_loop_time(
     measured span.  Bad loop counts raise :class:`DomainError`, as in
     :class:`SweepConfig`.
     """
-    check_sections(N, "N")
+    check_integer(N, "N")
     config = SweepConfig(problem=problem, n_values=(N,), min_loops=min_loops,
                          warmup_loops=warmup_loops)
     return sweep(config, runner)[0]

@@ -32,7 +32,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import BoundViolation, DomainError
-from .solver import Problem, SolveOptions, check_sections, solve, widths
+from .solver import Problem, SolveOptions, check_integer, solve, widths
 
 __all__ = [
     "BoundSequence",
@@ -74,7 +74,7 @@ class BoundSequence:
     def __post_init__(self) -> None:
         if not (self.initial_width > 0.0 and math.isfinite(self.initial_width)):
             raise DomainError(f"initial_width must be > 0, got {self.initial_width}")
-        check_sections(self.base, "base")
+        check_integer(self.base, "base")
 
     def values(self) -> Iterator[float]:
         """Yield B_0, B_1, B_2, ... (infinite; 0.0 forever once underflowed)."""

@@ -29,10 +29,10 @@ class EvaluationError(MultisectionError):
 class NoSignChangeError(MultisectionError):
     """No subinterval of the current partition exhibits a sign change.
 
-    Only :func:`~multisection.solver.multisect_step` can raise it, when
-    the endpoint values it is given have the same sign.  A solve cannot,
-    even with a stateful f: it keeps the endpoint values its bracket check
-    saw, and each chosen right end departs from the sign at the left end.
+    Only :func:`~multisection.solver.multisect_step` raises it, when its
+    endpoint values (given or computed) and every node share one sign.
+    A solve cannot, even with a stateful f: each chosen right end departs
+    from the sign its bracket check saw at the left end.
     """
 
 

@@ -121,15 +121,13 @@ class Problem:
                 )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def check_sections(value, name: str = "sections") -> None:
-    """Raise :class:`DomainError` unless ``value`` is an integer >= 2
-    (``bool`` is not a section count)."""
-    if not (_is_int(value) and value >= 2):
-        raise DomainError(f"{name} must be an integer >= 2, got {value!r}")
+def check_integer(value, name: str, least: int = 2) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an integer >= ``least``
+    (``bool`` is not an integer here).  The default is the least section
+    count."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def widths(width: float, sections: int) -> Iterator[float]:
@@ -156,19 +154,15 @@ class SolveOptions:
     max_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        check_sections(self.sections)
+        check_integer(self.sections, "sections")
         if not (self.width_tolerance > 0.0 and math.isfinite(self.width_tolerance)):
             raise DomainError(f"width_tolerance must be positive, got {self.width_tolerance}")
         if not (self.residual_tolerance >= 0.0 and math.isfinite(self.residual_tolerance)):
             raise DomainError(
                 f"residual_tolerance must be finite and >= 0, got {self.residual_tolerance}"
             )
-        if self.max_iterations is not None and not (
-            _is_int(self.max_iterations) and self.max_iterations >= 0
-        ):
-            raise DomainError(
-                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}"
-            )
+        if self.max_iterations is not None:
+            check_integer(self.max_iterations, "max_iterations", 0)
 
 
 class Termination(Enum):
@@ -382,10 +376,11 @@ class _Stepper:
       that pass and every later one run the list pass with one f call per
       node;
     * the departure test, from the sign of f at the bracket's left end.
-      Every chosen subinterval's left end keeps that sign (a zero there
-      ends the solve), so the first node whose value *departs* from it
-      (``le``, ``ge`` or ``ne`` against 0.0, on one float or elementwise
-      on an array) closes the leftmost sign change.
+      Every chosen subinterval's left end keeps that sign and its right
+      end departs from it (a zero there ends the solve), so the first
+      node whose value *departs* (``le``, ``ge`` or ``ne`` against 0.0,
+      on one float or elementwise on an array) closes the leftmost sign
+      change.
 
     Only the evaluation and the search for the first departing node
     differ between the passes; :meth:`step` holds the rules they share.
@@ -451,16 +446,16 @@ class _Stepper:
                 return xs, fs, k
         return xs, fs, None
 
-    def step(self, lo: float, hi: float, f_lo: float, f_hi: float):
+    def step(self, lo: float, hi: float):
         """Evaluate the nodes of [lo, hi] and pick the leftmost pair of
         adjacent points, endpoints included, whose signs differ.
 
-        ``f_lo`` must have the sign the stepper was built with, and
-        neither value may be NaN.  Returns the nodes, their f values, the
-        chosen lo, hi, f_lo and f_hi, and the exact-zero point or None: a
-        zero has sign 0, so it differs from any nonzero neighbor and is
-        the exact root.  Raises :class:`NoSignChangeError` when every
-        pair matches.
+        In a solve, f at ``lo`` has the sign the stepper was built with
+        and f at ``hi`` departs from it, so the pair ends at the first
+        departing node, or at ``hi`` when no node departs.  Returns the
+        nodes, their f values, the chosen lo and hi, and the chosen hi
+        when its value is zero (the exact root), else None.  A NaN node
+        raises :class:`EvaluationError`; no pair can fail to change sign.
         """
         # every point before the leftmost change has the sign of f(lo), so
         # that change ends at the first point that departs from it
@@ -468,17 +463,12 @@ class _Stepper:
             xs, fs, k = self._vector_pass(lo, hi)
         else:
             xs, fs, k = self._list_pass(lo, hi)
-        if k is not None:
-            x, fx = float(xs[k]), float(fs[k])
-        elif self.departs(f_hi, 0.0):
-            k, x, fx = self.sections - 1, hi, f_hi
-        else:
-            raise NoSignChangeError("no adjacent evaluation pair changes sign; "
-                                    "is the function deterministic?")
+        if k is None:
+            return xs, fs, float(xs[-1]), hi, None
+        x = float(xs[k])
         if k > 0:
-            lo, f_lo = float(xs[k - 1]), float(fs[k - 1])
-        exact = x if fx == 0.0 else lo if f_lo == 0.0 else None
-        return xs, fs, lo, x, f_lo, fx, exact
+            lo = float(xs[k - 1])
+        return xs, fs, lo, x, x if fs[k] == 0.0 else None
 
 
 def multisect_step(
@@ -494,18 +484,29 @@ def multisect_step(
 
     Preconditions: ``sections >= 2`` and f changes sign (or vanishes)
     across the interval.  Endpoint values can be passed in to avoid
-    re-evaluation; otherwise they are computed here.
+    re-evaluation; otherwise they are computed here.  A zero ``f_lo``
+    makes the chosen lo the exact root, as does a zero ``f_hi`` the
+    chosen hi when no node departs.  Raises :class:`NoSignChangeError`
+    when the endpoint values and every node share one sign.
     """
-    check_sections(sections)
+    check_integer(sections, "sections")
     if f_lo is None:
         f_lo = float(f(interval.lo))
     if f_hi is None:
         f_hi = float(f(interval.hi))
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise EvaluationError("endpoint function value is NaN")
-    xs, fs, lo, hi, _, _, exact = _Stepper(f, sections, f_lo).step(
-        interval.lo, interval.hi, f_lo, f_hi
-    )
+    stepper = _Stepper(f, sections, f_lo)
+    xs, fs, lo, hi, exact = stepper.step(interval.lo, interval.hi)
+    if not any(stepper.departs(fx, 0.0) for fx in fs):
+        # the chosen pair is the last node and interval.hi
+        if not stepper.departs(f_hi, 0.0):
+            raise NoSignChangeError(f"f_lo={f_lo}, f_hi={f_hi} and every node "
+                                    f"of [{interval.lo}, {interval.hi}] share one sign")
+        if f_hi == 0.0:
+            exact = hi
+    if f_lo == 0.0:
+        exact = lo
     return _record(index, interval, xs, fs, lo, hi, exact)
 
 
@@ -521,7 +522,7 @@ def predicted_max_iterations(
     it is the smallest M with width / N**M <= tol, up to the rounding of
     repeated division.
     """
-    check_sections(sections)
+    check_integer(sections, "sections")
     if not (width_tolerance > 0.0 and math.isfinite(width_tolerance)):
         raise DomainError(f"width_tolerance must be positive, got {width_tolerance}")
     return next(i for i, w in enumerate(widths(interval.width, sections))
@@ -571,7 +572,7 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
     tol = options.width_tolerance
     rtol = options.residual_tolerance
 
-    f_lo, f_hi, done = _validate_endpoints(f, problem.bracket)
+    f_lo, _, done = _validate_endpoints(f, problem.bracket)
     if done is not None:
         return done
 
@@ -591,7 +592,7 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
             residual = float(f(root))  # diagnostic probe, not counted
             break
 
-        xs, fs, lo, hi, f_lo, f_hi, exact = step(lo, hi, f_lo, f_hi)
+        xs, fs, lo, hi, exact = step(lo, hi)
         nodes_x.append(xs)
         nodes_f.append(fs)
         chosen_lo.append(lo)

@@ -72,6 +72,9 @@ class TestSweepConfig:
         dict(warmup_loops=-1),
         dict(n_values=(2, 2.5)),
         dict(n_values=(2, True)),
+        dict(min_loops=1000.0),
+        dict(min_loops=True),
+        dict(warmup_loops=2.5),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):

@@ -1,12 +1,19 @@
 """One conformance contract over every solve path that runs without numba.
 
-Each case's outcome on each path must equal the default solve's (fields
-and trace, or error type and message), and a result that iterated to a
-width stop or an exact zero must equal :func:`textbook_multisection`
-node for node.  The paths: ``list`` and ``array``, the numpy backend's
-two passes, each forced at any N by moving
-``solver.LIST_PASS_MAX_SECTIONS``; ``per-node``, f wrapped in
-:class:`ScalarOnly`; ``kernel``, the numba kernel run uncompiled through
+This is the per-path check of the package; the older per-path tests in
+``test_solver.py`` and ``test_backends.py`` are views that call
+:func:`check` on their own inputs.  Each case's outcome on
+each path must equal the default solve's: the result with its hash and
+trace (so steps kept as lists equal steps kept as arrays), or the error's
+type and message.  The NaN, exact-zero and bracket cases also pin that
+outcome literally.  A result that iterated to a width stop or an exact
+zero must equal :func:`textbook_multisection` node for node.
+
+The paths: ``list`` and ``array``, the numpy backend's two passes, each
+forced at any N by moving ``solver.LIST_PASS_MAX_SECTIONS``;
+``per-node``, f wrapped in :class:`ScalarOnly`, which must see one
+rejected array call in a solve that ran a pass and none in one that did
+not; ``kernel``, the numba kernel run uncompiled through
 :class:`InterpretedNumba`.  Compiled numba runs only in
 ``test_backends.py`` (``TestParity``, ``TestFallback``).
 """
@@ -36,14 +43,17 @@ PATHS = ("list", "array", "per-node", "kernel")
 
 
 class ScalarOnly:
-    """Wraps f so that it takes Python floats only, counting its calls."""
+    """Wraps f so that it takes Python floats only, counting the calls it
+    accepts and the ones it rejects."""
 
     def __init__(self, f):
         self.f = f
         self.calls = 0
+        self.rejected = 0
 
     def __call__(self, x):
         if type(x) is not float:
+            self.rejected += 1
             raise TypeError("scalar-only function")
         self.calls += 1
         return float(self.f(x))
@@ -130,7 +140,9 @@ OPTIONS = {
     "residual-tied": {"residual_tolerance": 1.0},
 }
 
-#: (problem, options, the error every path must raise or None).
+#: (problem, options, literal) where ``literal`` is None or what
+#: :func:`brief` must give on every path: an error's type and message, or
+#: an exact zero's root, termination and iteration count.
 CASES = [
     pytest.param(problem, SolveOptions(sections=n, **options), None,
                  id=f"{problem.id}-N{n}-{name}")
@@ -138,20 +150,26 @@ CASES = [
     for n in (2, 3, 5, 12, 13, 81, 250)
     for name, options in OPTIONS.items()
 ] + [
-    pytest.param(problem, SolveOptions(sections=n), raises, id=f"{case}-N{n}")
+    pytest.param(problem, SolveOptions(sections=n), literal, id=f"{case}-N{n}")
     for n in (4, 13)
-    for case, problem, raises in (
-        ("nan-left", linear(0.6, nan_at=node(1, n)), EvaluationError),
-        ("nan-right", linear(0.6, nan_at=node(n - 1, n)), EvaluationError),
-        ("zero-first-node", linear(node(1, n)), None),
-        ("zero-last-node", linear(node(n - 1, n)), None),
-        ("zero-lo", linear(0.0), None),
-        ("zero-hi", linear(1.0), None),
+    for case, problem, literal in (
+        ("nan-left", linear(0.6, nan_at=node(1, n)),
+         (EvaluationError, f"f({node(1, n)}) is NaN")),
+        ("nan-right", linear(0.6, nan_at=node(n - 1, n)),
+         (EvaluationError, f"f({node(n - 1, n)}) is NaN")),
+        ("zero-first-node", linear(node(1, n)), (node(1, n), Termination.EXACT_ZERO, 1)),
+        ("zero-last-node", linear(node(n - 1, n)),
+         (node(n - 1, n), Termination.EXACT_ZERO, 1)),
+        ("zero-lo", linear(0.0), (0.0, Termination.EXACT_ZERO, 0)),
+        ("zero-hi", linear(1.0), (1.0, Termination.EXACT_ZERO, 0)),
     )
 ] + [
     pytest.param(Problem(id="no-crossing", f=lambda x: x * x - 8.0,
                          bracket=Interval(3.0, 5.0)),
-                 SolveOptions(), BracketError, id="no-sign-change"),
+                 SolveOptions(),
+                 (BracketError, "f does not change sign over [3.0, 5.0]: "
+                                "f(lo)=1.0, f(hi)=17.0"),
+                 id="no-sign-change"),
 ]
 
 
@@ -168,7 +186,15 @@ def fields(result):
             result.function_evaluations, result.termination)
 
 
-def check(path, problem, options, monkeypatch, raises=None):
+def brief(solved):
+    """An error's type and message as they are; a result's root,
+    termination and iteration count."""
+    if isinstance(solved, tuple):
+        return solved
+    return solved.root, solved.termination, solved.iterations
+
+
+def check(path, problem, options, monkeypatch, literal=None):
     """Solve on ``path`` and hold the outcome to the contract; return it."""
     expected = outcome(problem, options)
     solved, backend = problem, "numpy"
@@ -185,13 +211,17 @@ def check(path, problem, options, monkeypatch, raises=None):
     got = outcome(solved, options, backend)
 
     n = options.sections
-    if raises is not None:
-        assert expected[0] is raises
-        assert got == expected
-        calls = 2 + n - 1 if raises is EvaluationError else 2
-    else:
+    if literal is None:
         assert isinstance(expected, SolveResult), expected
-        assert fields(got) == fields(expected)
+    else:
+        assert brief(expected) == literal
+    if isinstance(expected, tuple):  # the error's type and message
+        assert got == expected
+        nan = expected[0] is EvaluationError
+        calls = 2 + n - 1 if nan else 2
+        rejected = int(nan)
+    else:
+        assert got == expected and hash(got) == hash(expected)
         assert got.trace == expected.trace
         assert got.function_evaluations == 2 + (n - 1) * got.iterations
         if got.iterations and got.termination in (Termination.WIDTH_REACHED,
@@ -205,12 +235,14 @@ def check(path, problem, options, monkeypatch, raises=None):
         probe = got.termination in (Termination.WIDTH_REACHED,
                                     Termination.MAX_ITERATIONS)
         calls = got.function_evaluations + probe
+        rejected = min(got.iterations, 1)
     if path == "per-node":
-        assert f.calls == calls
+        # f rejects the first pass's array call, and the solve never asks again
+        assert (f.calls, f.rejected) == (calls, rejected)
     return got
 
 
-@pytest.mark.parametrize("problem,options,raises", CASES)
+@pytest.mark.parametrize("problem,options,literal", CASES)
 @pytest.mark.parametrize("path", PATHS)
-def test_every_path_keeps_the_contract(monkeypatch, path, problem, options, raises):
-    check(path, problem, options, monkeypatch, raises)
+def test_every_path_keeps_the_contract(monkeypatch, path, problem, options, literal):
+    check(path, problem, options, monkeypatch, literal)

@@ -449,16 +449,14 @@ class TestScalarFallback:
     @pytest.mark.parametrize("bad", [0.2, 0.8])
     def test_nan_node_either_side_of_the_sign_change(self, monkeypatch, bad):
         for sections in [10, 50]:  # the list pass and the array pass
-            _, message = check("per-node", linear(0.5, nan_at=bad),
-                               SolveOptions(sections=sections), monkeypatch, EvaluationError)
-            assert message == f"f({bad}) is NaN"
+            check("per-node", linear(0.5, nan_at=bad), SolveOptions(sections=sections),
+                  monkeypatch, (EvaluationError, f"f({bad}) is NaN"))
 
     @pytest.mark.parametrize("root,iterations", [(0.1, 1), (0.9, 1), (1.0, 0), (0.0, 0)])
     def test_exact_zero_at_a_node_or_an_endpoint(self, monkeypatch, root, iterations):
         for sections in [10, 50]:  # the list pass and the array pass
-            result = check("per-node", linear(root), SolveOptions(sections=sections), monkeypatch)
-            assert (result.root, result.termination, result.iterations) == (
-                root, Termination.EXACT_ZERO, iterations)
+            check("per-node", linear(root), SolveOptions(sections=sections), monkeypatch,
+                  (root, Termination.EXACT_ZERO, iterations))
 
     @pytest.mark.parametrize("root", [0.0, 0.1, 0.35, 0.9, 1.0])
     def test_multisect_step(self, root):
