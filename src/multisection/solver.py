@@ -24,15 +24,19 @@ subinterval (sign 0 differs from the nonzero sign to its left), so every
 iteration record — including the last one of an exact-zero run — carries a
 genuine subinterval of 1/N the parent width.
 
-Each pass calls f once, on an array of its nodes.  Up to
-:data:`LIST_PASS_MAX_SECTIONS` sections the pass builds the nodes and
-scans their values as Python floats around that one call (numpy's
-per-call overhead dominates on a handful of nodes); above it, numpy
-builds the nodes and does the NaN check and the sign scan.  Once f
+One generator, :func:`_passes`, runs a solve's passes: what stays fixed
+within a solve (the pass, the departure test, ``float(N)`` and the node
+index) is one of its locals.  Each pass calls f once, on an array of its
+nodes.  Up to :data:`LIST_PASS_MAX_SECTIONS` sections the pass builds
+the nodes and scans their values as Python floats around that one call
+(numpy's per-call overhead dominates on a handful of nodes); above it,
+numpy builds the nodes and does the NaN check and the sign scan.  Once f
 rejects an array, every later pass runs over Python floats with one call
-per node and no numpy in the loop.  All passes share the rules that pick
+per node and no numpy in the loop.  All passes share the rule that picks
 the chosen subinterval, so they give bit-identical results whenever f
-returns the same bits for a float as for an array.
+returns the same bits for a float as for an array.  A bracket whose
+``(N - 1) * width`` overflows is refused with :class:`DomainError`, so
+no node ever falls outside its bracket.
 
 A solve keeps each iteration's nodes, their values and the chosen
 endpoints as they are (arrays from the array pass, lists from the list
@@ -361,114 +365,100 @@ def validate_bracket(problem: Problem) -> tuple[int, int]:
 LIST_PASS_MAX_SECTIONS = 12
 
 
-class _Stepper:
-    """One N-section pass at a time for one solve.
+def _departure(f_lo: float):
+    """The departure test of a bracket whose left end has f value
+    ``f_lo``: ``le``, ``ge`` or ``ne`` against 0.0, on one float or
+    elementwise on an array.  Every chosen subinterval's left end keeps
+    the sign of ``f_lo`` and its right end departs from it (a zero there
+    ends the solve), so the first node whose value departs closes the
+    leftmost sign change."""
+    return le if f_lo > 0.0 else ge if f_lo < 0.0 else ne
 
-    Everything that stays fixed within a solve is decided once, here:
 
-    * the pass, from ``sections``: the array pass above
-      :data:`LIST_PASS_MAX_SECTIONS` (the nodes are one array and numpy
-      finds the first NaN and the first departing node), the list pass at
-      or below it (the same node arithmetic over Python floats, a
-      plain-Python NaN check and scan, and the nodes and their values
-      kept as lists).  Both call f once per pass on an array of the
-      nodes.  The first time f rejects an array (see :meth:`_f_on_array`),
-      that pass and every later one run the list pass with one f call per
-      node;
-    * the departure test, from the sign of f at the bracket's left end.
-      Every chosen subinterval's left end keeps that sign and its right
-      end departs from it (a zero there ends the solve), so the first
-      node whose value *departs* (``le``, ``ge`` or ``ne`` against 0.0,
-      on one float or elementwise on an array) closes the leftmost sign
-      change.
+def _check_nodes_finite(interval: Interval, sections: int) -> None:
+    """Raise :class:`DomainError` unless ``(N - 1) * width`` is finite,
+    which keeps every pinned ``j * span`` finite and each node in [lo, hi]."""
+    if not math.isfinite((sections - 1) * interval.width):
+        raise DomainError(
+            f"the nodes of [{interval.lo}, {interval.hi}] at {sections} sections "
+            f"overflow: (sections - 1) * width must be finite"
+        )
 
-    Only the evaluation and the search for the first departing node
-    differ between the passes; :meth:`step` holds the rules they share.
+
+def _passes(f: Callable[[float], float], sections: int, f_lo: float,
+            lo: float, hi: float):
+    """One solve's N-section passes, the first over [lo, hi] and each
+    later one over the pair the one before it chose.
+
+    Each pass evaluates the nodes and yields them, their f values, the
+    leftmost pair of adjacent points (endpoints included) whose signs
+    differ, and its hi when f is zero there (the exact root), else None.
+    f at ``lo`` has the sign of ``f_lo`` and f at ``hi`` departs from it,
+    so the pair ends at the first departing node, or at ``hi`` when none
+    departs.  A NaN node raises :class:`EvaluationError`.
+
+    What stays fixed within a solve is a local, set once: the departure
+    test, ``float(N)``, and the pass (list or array, see the module
+    docstring) with its node index.  The first time f rejects the node
+    array (any exception but :class:`EvaluationError`, or a result of the
+    wrong shape), that pass and every later one call f once per node.
     """
-
-    def __init__(self, f: Callable[[float], float], sections: int, f_lo: float):
-        self.f = f
-        self.sections = sections
-        # dividing by the float gives the bits of dividing by the int
-        self.n = float(sections)
-        self.departs = le if f_lo > 0.0 else ge if f_lo < 0.0 else ne
-        self.vectorized = True
-        self.array_pass = sections > LIST_PASS_MAX_SECTIONS
-        if self.array_pass:
-            self.j = np.arange(1, sections, dtype=np.float64)
-
-    def _f_on_array(self, xs: np.ndarray) -> Optional[np.ndarray]:
-        """f's values on the node array, or None once f rejects it: any
-        exception but :class:`EvaluationError`, or a result of the wrong
-        shape.  A rejection turns the solve to per-node calls for good."""
-        try:
-            fs = np.asarray(self.f(xs), dtype=np.float64)
-        except EvaluationError:
-            raise
-        except Exception:
-            fs = None
-        if fs is None or fs.shape != xs.shape:
-            self.vectorized = self.array_pass = False
-            return None
-        return fs
-
-    def _vector_pass(self, lo: float, hi: float):
-        """The nodes, their f values, and the index of the first node that
-        departs, or None; the list pass's result once f rejects the
-        array."""
-        # node arithmetic is pinned so every backend and the list pass
-        # see bit-identical abscissas
-        xs = lo + (self.j * (hi - lo)) / self.n
-        fs = self._f_on_array(xs)
-        if fs is None:
-            return self._list_pass(lo, hi)
-        nan = np.isnan(fs)
-        first_nan = nan.argmax()
-        if nan[first_nan]:
-            raise EvaluationError(f"f({xs[first_nan]}) is NaN")
-        hits = self.departs(fs, 0.0)
-        k = int(hits.argmax())
-        return xs, fs, k if hits[k] else None
-
-    def _list_pass(self, lo: float, hi: float):
-        """:meth:`_vector_pass` over Python floats, with lists for arrays."""
-        span, n, f = hi - lo, self.n, self.f
-        # the array pass's three node operations, in the same order
-        xs = [lo + (j * span) / n for j in range(1, self.sections)]
-        fs = self._f_on_array(np.array(xs)) if self.vectorized else None
-        fs = [float(f(x)) for x in xs] if fs is None else fs.tolist()
-        if any(map(math.isnan, fs)):
-            first_nan = next(x for x, fx in zip(xs, fs) if math.isnan(fx))
-            raise EvaluationError(f"f({first_nan}) is NaN")
-        departs = self.departs
-        for k, fx in enumerate(fs):
-            if departs(fx, 0.0):
-                return xs, fs, k
-        return xs, fs, None
-
-    def step(self, lo: float, hi: float):
-        """Evaluate the nodes of [lo, hi] and pick the leftmost pair of
-        adjacent points, endpoints included, whose signs differ.
-
-        In a solve, f at ``lo`` has the sign the stepper was built with
-        and f at ``hi`` departs from it, so the pair ends at the first
-        departing node, or at ``hi`` when no node departs.  Returns the
-        nodes, their f values, the chosen lo and hi, and the chosen hi
-        when its value is zero (the exact root), else None.  A NaN node
-        raises :class:`EvaluationError`; no pair can fail to change sign.
-        """
+    departs = _departure(f_lo)
+    isnan = math.isnan
+    # dividing by the float gives the bits of dividing by the int
+    n = float(sections)
+    array_pass = sections > LIST_PASS_MAX_SECTIONS
+    vectorized = True
+    j = np.arange(1, sections, dtype=np.float64) if array_pass else range(1, sections)
+    while True:
+        # node arithmetic is pinned so every pass and backend sees
+        # bit-identical abscissas: the same three operations in order
+        if array_pass:
+            xs = lo + (j * (hi - lo)) / n
+        else:
+            span = hi - lo
+            xs = [lo + (i * span) / n for i in j]
+        if vectorized:
+            array = xs if array_pass else np.array(xs)
+            try:
+                fs = np.asarray(f(array), dtype=np.float64)
+            except EvaluationError:
+                raise
+            except Exception:
+                fs = None
+            if fs is None or fs.shape != array.shape:
+                vectorized = array_pass = False
+                j = range(1, sections)
+                xs = array.tolist()
+        if array_pass:
+            nan = np.isnan(fs)
+            k = nan.argmax()
+            if nan[k]:
+                raise EvaluationError(f"f({xs[k]}) is NaN")
+            hits = departs(fs, 0.0)
+            k = int(hits.argmax())
+            if not hits[k]:
+                k = None
+        else:
+            fs = fs.tolist() if vectorized else [float(f(x)) for x in xs]
+            if any(map(isnan, fs)):
+                first_nan = next(x for x, fx in zip(xs, fs) if isnan(fx))
+                raise EvaluationError(f"f({first_nan}) is NaN")
+            for k, fx in enumerate(fs):
+                if departs(fx, 0.0):
+                    break
+            else:
+                k = None
         # every point before the leftmost change has the sign of f(lo), so
         # that change ends at the first point that departs from it
-        if self.array_pass:
-            xs, fs, k = self._vector_pass(lo, hi)
-        else:
-            xs, fs, k = self._list_pass(lo, hi)
         if k is None:
-            return xs, fs, float(xs[-1]), hi, None
-        x = float(xs[k])
-        if k > 0:
-            lo = float(xs[k - 1])
-        return xs, fs, lo, x, x if fs[k] == 0.0 else None
+            lo, exact = float(xs[-1]), None
+        else:
+            if k > 0:
+                lo = float(xs[k - 1])
+            hi = float(xs[k])
+            exact = hi if fs[k] == 0.0 else None
+        yield xs, fs, lo, hi, exact
 
 
 def multisect_step(
@@ -486,21 +476,23 @@ def multisect_step(
     across the interval.  Endpoint values can be passed in to avoid
     re-evaluation; otherwise they are computed here.  A zero ``f_lo``
     makes the chosen lo the exact root, as does a zero ``f_hi`` the
-    chosen hi when no node departs.  Raises :class:`NoSignChangeError`
-    when the endpoint values and every node share one sign.
+    chosen hi when no node departs.  Raises :class:`DomainError` when a
+    node would overflow, and :class:`NoSignChangeError` when the endpoint
+    values and every node share one sign.
     """
     check_integer(sections, "sections")
+    _check_nodes_finite(interval, sections)
     if f_lo is None:
         f_lo = float(f(interval.lo))
     if f_hi is None:
         f_hi = float(f(interval.hi))
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise EvaluationError("endpoint function value is NaN")
-    stepper = _Stepper(f, sections, f_lo)
-    xs, fs, lo, hi, exact = stepper.step(interval.lo, interval.hi)
-    if not any(stepper.departs(fx, 0.0) for fx in fs):
+    departs = _departure(f_lo)
+    xs, fs, lo, hi, exact = next(_passes(f, sections, f_lo, interval.lo, interval.hi))
+    if not any(departs(fx, 0.0) for fx in fs):
         # the chosen pair is the last node and interval.hi
-        if not stepper.departs(f_hi, 0.0):
+        if not departs(f_hi, 0.0):
             raise NoSignChangeError(f"f_lo={f_lo}, f_hi={f_hi} and every node "
                                     f"of [{interval.lo}, {interval.hi}] share one sign")
         if f_hi == 0.0:
@@ -541,10 +533,13 @@ def solve(
     path below), "numba" (a compiled kernel producing the same records),
     or None to defer to the MULTISECTION_BACKEND environment variable,
     read on every call, and then to auto-detection.  See
-    :mod:`multisection.kernels`.
+    :mod:`multisection.kernels`.  A bracket whose nodes at
+    ``options.sections`` would overflow raises :class:`DomainError`
+    before any backend runs.
     """
     if options is None:
         options = SolveOptions()
+    _check_nodes_finite(problem.bracket, options.sections)
     if kernels.resolve_backend(backend) == "numba":
         result = kernels.solve_numba(problem, options)
         if result is not None:
@@ -577,9 +572,9 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
         return done
 
     cap = math.inf if options.max_iterations is None else options.max_iterations
-    step = _Stepper(f, sections, f_lo).step
     n = float(sections)  # the same bits as dividing by the int
     lo, hi = problem.bracket.lo, problem.bracket.hi
+    passes = _passes(f, sections, f_lo, lo, hi)
     w = hi - lo
     nodes_x, nodes_f, chosen_lo, chosen_hi = [], [], [], []
     iterations = 0
@@ -592,7 +587,7 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
             residual = float(f(root))  # diagnostic probe, not counted
             break
 
-        xs, fs, lo, hi, exact = step(lo, hi)
+        xs, fs, lo, hi, exact = next(passes)
         nodes_x.append(xs)
         nodes_f.append(fs)
         chosen_lo.append(lo)

@@ -8,6 +8,9 @@ libraries round differently.
 
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,3 +224,18 @@ class TestFallback:
 
         reference = solve(p, SolveOptions(sections=2), backend="numpy")
         assert result == reference
+
+
+class TestImport:
+    def test_import_adds_only_the_stdlib_numpy_and_the_package(self):
+        # what `import multisection` loads counts toward every caller's
+        # start-up; numba and the rest load only when asked for
+        source = os.path.dirname(os.path.dirname(kernels.__file__))
+        code = ("import sys; before = set(sys.modules); "
+                f"sys.path.insert(0, {source!r}); import multisection; "
+                "print(*sorted(set(sys.modules) - before))")
+        added = subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True).stdout.split()
+        assert "multisection.solver" in added and "numpy" in added
+        allowed = sys.stdlib_module_names | {"numpy", "multisection"}
+        assert [name for name in added if name.split(".")[0] not in allowed] == []

@@ -7,7 +7,9 @@ each path must equal the default solve's: the result with its hash and
 trace (so steps kept as lists equal steps kept as arrays), or the error's
 type and message.  The NaN, exact-zero and bracket cases also pin that
 outcome literally.  A result that iterated to a width stop or an exact
-zero must equal :func:`textbook_multisection` node for node.
+zero must equal :func:`textbook_multisection` node for node.  One
+:func:`multisect_step` over a default case's bracket must equal the first
+record of its default solve on every path that takes a step.
 
 The paths: ``list`` and ``array``, the numpy backend's two passes, each
 forced at any N by moving ``solver.LIST_PASS_MAX_SECTIONS``;
@@ -33,6 +35,7 @@ from multisection import (
     SolveResult,
     Termination,
     corpus,
+    multisect_step,
     solve,
 )
 from multisection import kernels, solver
@@ -194,20 +197,26 @@ def brief(solved):
     return solved.root, solved.termination, solved.iterations
 
 
-def check(path, problem, options, monkeypatch, literal=None):
-    """Solve on ``path`` and hold the outcome to the contract; return it."""
-    expected = outcome(problem, options)
-    solved, backend = problem, "numpy"
+def take(path, problem, sections, monkeypatch):
+    """Send solves and steps of ``problem`` at ``sections`` down ``path``;
+    return the problem to run, with f wrapped on the per-node path, and
+    the backend."""
     if path == "list":
-        monkeypatch.setattr(solver, "LIST_PASS_MAX_SECTIONS", options.sections)
+        monkeypatch.setattr(solver, "LIST_PASS_MAX_SECTIONS", sections)
     elif path == "array":
         monkeypatch.setattr(solver, "LIST_PASS_MAX_SECTIONS", 1)
     elif path == "per-node":
-        f = ScalarOnly(problem.f)
-        solved = Problem(problem.id, f, problem.bracket)
+        return Problem(problem.id, ScalarOnly(problem.f), problem.bracket), "numpy"
     else:
         use_interpreted_numba(monkeypatch)
-        backend = "numba"
+        return problem, "numba"
+    return problem, "numpy"
+
+
+def check(path, problem, options, monkeypatch, literal=None):
+    """Solve on ``path`` and hold the outcome to the contract; return it."""
+    expected = outcome(problem, options)
+    solved, backend = take(path, problem, options.sections, monkeypatch)
     got = outcome(solved, options, backend)
 
     n = options.sections
@@ -238,7 +247,7 @@ def check(path, problem, options, monkeypatch, literal=None):
         rejected = min(got.iterations, 1)
     if path == "per-node":
         # f rejects the first pass's array call, and the solve never asks again
-        assert (f.calls, f.rejected) == (calls, rejected)
+        assert (solved.f.calls, solved.f.rejected) == (calls, rejected)
     return got
 
 
@@ -246,3 +255,14 @@ def check(path, problem, options, monkeypatch, literal=None):
 @pytest.mark.parametrize("path", PATHS)
 def test_every_path_keeps_the_contract(monkeypatch, path, problem, options, literal):
     check(path, problem, options, monkeypatch, literal)
+
+
+@pytest.mark.parametrize("problem,options,literal",
+                         [case for case in CASES if case.id.endswith("-default")])
+@pytest.mark.parametrize("path", ("list", "array", "per-node"))
+def test_one_step_is_the_first_record_of_a_solve(monkeypatch, path, problem, options, literal):
+    first = solve(problem, options).trace[0]
+    stepped, _ = take(path, problem, options.sections, monkeypatch)
+    assert multisect_step(problem.bracket, stepped.f, options.sections) == first
+    if path == "per-node":
+        assert stepped.f.rejected == 1

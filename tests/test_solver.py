@@ -672,3 +672,60 @@ class TestLinearProperties:
         else:
             final_width = problem.bracket.width
         assert abs(result.root - root) <= final_width
+
+
+def magnitudes(least):
+    """Positive floats whose binary exponents spread evenly from ``least``
+    to the top of binary64 (underflowing to 0.0 below the subnormals)."""
+    return st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+                     st.integers(min_value=least, max_value=1024))
+
+
+class TestHugeBrackets:
+    """No node is built outside the bracket: a (bracket, N) pair whose
+    ``(N - 1) * width`` overflows is refused before any backend runs."""
+
+    @pytest.mark.parametrize("sections", [3, 13])
+    def test_overflowing_nodes_raise_before_any_backend_runs(self, sections):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 3e307
+
+        problem = Problem(id="huge", f=f, bracket=Interval(0.0, 1e308),
+                          reference_root=3e307)
+        for backend in ("numpy", "numba"):
+            with pytest.raises(DomainError, match="overflow"):
+                solve(problem, SolveOptions(sections=sections), backend=backend)
+        with pytest.raises(DomainError, match="overflow"):
+            multisect_step(problem.bracket, f, sections)
+        assert calls == []
+
+    @given(
+        lo=st.builds(math.copysign, magnitudes(-1075), st.sampled_from([1.0, -1.0])),
+        width=st.one_of(magnitudes(-1073), magnitudes(1000)),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        sections=st.integers(min_value=2, max_value=4096),
+    )
+    def test_a_solve_anywhere_in_binary64_stays_in_its_bracket(
+            self, lo, width, frac, sections):
+        hi = min(lo + width, 1.7e308)
+        if not (lo < hi and math.isfinite(hi - lo)):
+            return  # no bracket: Interval refuses it
+        root = min(max(lo + frac * (hi - lo), lo), hi)
+        problem = Problem(id="hyp-huge", f=lambda x: x - root, bracket=Interval(lo, hi))
+        overflows = not math.isfinite((sections - 1) * (hi - lo))
+        try:
+            result = solve(problem, SolveOptions(sections=sections))
+        except DomainError:
+            assert overflows
+            return
+        assert not overflows
+        assert lo <= result.root <= hi
+        assert len(result.trace) == result.iterations
+        assert all(lo <= x <= hi for record in result.trace
+                   for x, _ in record.evaluated_nodes)
+        if result.termination is Termination.WIDTH_REACHED:
+            assert result.iterations == predicted_max_iterations(
+                problem.bracket, MU, sections)
