@@ -32,7 +32,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import BoundViolation, DomainError
-from .solver import Problem, SolveOptions, check_integer, solve, widths
+from .solver import Problem, SolveOptions, _division_count, check_integer, solve
 
 __all__ = [
     "BoundSequence",
@@ -64,6 +64,16 @@ REFERENCE_FLUSH_TO_ZERO_Z = 1024
 QUANTIZATION_ALLOWANCE_ULPS = 4.0
 
 
+def widths(width: float, sections: int) -> Iterator[float]:
+    """Yield width, width/N, width/N/N, ... by repeated binary64 division
+    (0.0 forever once it underflows): the bound sequence behind
+    :class:`BoundSequence`, :func:`bound_at` and :func:`underflow_exponent`."""
+    w = width
+    while True:
+        yield w
+        w /= sections
+
+
 @dataclass(frozen=True)
 class BoundSequence:
     """The sequence B_i = initial_width / base**i, evaluated iteratively."""
@@ -91,8 +101,8 @@ def bound_at(seq: BoundSequence, i: int) -> float:
 def first_index_below(seq: BoundSequence, eps: float) -> int:
     """Smallest i with B_i <= eps.  Requires 0 < eps <= initial_width.
 
-    Uses the same division loop as the solver's tracked width, so with
-    eps equal to the solver's width tolerance this equals
+    Counts with the division loop that fixes a solve's pass budget, so
+    with eps equal to the solver's width tolerance this equals
     :func:`multisection.solver.predicted_max_iterations`.
     """
     if not (0.0 < eps <= seq.initial_width):
@@ -100,7 +110,7 @@ def first_index_below(seq: BoundSequence, eps: float) -> int:
             f"eps must satisfy 0 < eps <= initial_width, got eps={eps}, "
             f"initial_width={seq.initial_width}"
         )
-    return next(i for i, b in enumerate(seq.values()) if b <= eps)
+    return _division_count(seq.initial_width, eps, seq.base)
 
 
 def underflow_exponent(width: float, *, flush_subnormals: bool = False) -> int:

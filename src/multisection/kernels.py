@@ -6,7 +6,7 @@ Two engines produce :class:`~multisection.solver.SolveResult` objects:
   evaluates each iteration's nodes with one vectorized call.
 * ``"numba"`` — a compiled kernel built per target function by closing a
   nopython loop over the jitted callable.  It keeps the reference loop's
-  node arithmetic, tracked-width termination and departure rule: every
+  node arithmetic, pass budget and departure rule: every
   chosen left end keeps the sign ``s`` of f at the bracket's left end,
   so the chosen subinterval ends at the first node with ``s*f(x) <= 0``,
   else at hi.  It fills the arrays the solver builds every backend's
@@ -40,8 +40,8 @@ from .solver import (
     SolveResult,
     Steps,
     Termination,
+    _budget,
     _validate_endpoints,
-    predicted_max_iterations,
 )
 
 logger = logging.getLogger(__name__)
@@ -51,10 +51,10 @@ BACKEND_ENV = "MULTISECTION_BACKEND"
 
 VALID_BACKENDS = ("numba", "numpy")
 
-# Kernel exit codes; the first four index _TERMINATIONS.
-_WIDTH, _EXACT, _RESIDUAL, _MAXITER, _NAN = range(5)
-_TERMINATIONS = (Termination.WIDTH_REACHED, Termination.EXACT_ZERO,
-                 Termination.RESIDUAL_REACHED, Termination.MAX_ITERATIONS)
+# Kernel exit codes: every pass of the budget ran, an exact zero, the
+# residual stop (these three index the solve's terminations, the first
+# being the budget's own stop), a NaN node.
+_BUDGET, _EXACT, _RESIDUAL, _NAN = range(4)
 
 # f -> (jitted f, its kernel), or None when numba is missing or cannot
 # jit f; a compile that fails on the first call replaces the pair by None.
@@ -106,11 +106,13 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 def _make_kernel(nb, fj):
     """Build the nopython solve loop closed over the jitted function.
 
-    One loop over the nodes evaluates each, exits on NaN and marks the
-    first node that departs from ``s``, the sign of f at the bracket's
-    left end (``s*f(x) <= 0``); with none, the subinterval ends at hi,
-    which always departs: the bracket's ends have opposite signs, and
-    each chosen hi departs.
+    The loop runs at most ``limit`` passes, the solve's pass budget fixed
+    before the call, and tracks no width.  In each pass one loop over the
+    nodes evaluates each, exits on NaN and marks the first node that
+    departs from ``s``, the sign of f at the bracket's left end
+    (``s*f(x) <= 0``); with none, the subinterval ends at hi, which
+    always departs: the bracket's ends have opposite signs, and each
+    chosen hi departs.
     The point before the departing one keeps ``s``, so only the departing
     point can be an exact zero: ``f_lo`` is never 0 here, because an
     endpoint zero ends the solve before the kernel runs.  The closure over
@@ -120,14 +122,13 @@ def _make_kernel(nb, fj):
     """
 
     @nb.njit(cache=False)
-    def kernel(lo, hi, f_lo, f_hi, sections, tol, rtol, cap,
+    def kernel(lo, hi, f_lo, f_hi, sections, rtol, limit,
                nodes_x, nodes_f, chosen_lo, chosen_hi):
         s = 1.0
         if f_lo < 0.0:
             s = -1.0
-        w = hi - lo
         it = 0
-        while w > tol and it < cap:
+        while it < limit:
             span = hi - lo
             k = sections - 1  # hi, unless a node departs first
             for j in range(1, sections):
@@ -147,7 +148,6 @@ def _make_kernel(nb, fj):
             chosen_lo[it] = lo
             chosen_hi[it] = hi
             it += 1
-            w /= sections
 
             if f_hi == 0.0:
                 return _EXACT, hi, 0.0, it
@@ -161,9 +161,7 @@ def _make_kernel(nb, fj):
                             nodes_f[it - 1, best], it)
 
         root = lo + (hi - lo) / 2.0
-        if w <= tol:
-            return _WIDTH, root, fj(root), it
-        return _MAXITER, root, fj(root), it
+        return _BUDGET, root, fj(root), it
 
     return kernel
 
@@ -196,18 +194,15 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
         if done is not None:
             return done
 
-        cap = options.max_iterations
-        if cap is None:
-            cap = predicted_max_iterations(
-                problem.bracket, options.width_tolerance, sections) + 2
-        rows = max(cap, 1)
-        nodes_x = np.empty((rows, sections - 1), dtype=np.float64)
-        nodes_f = np.empty((rows, sections - 1), dtype=np.float64)
-        chosen_lo = np.empty(rows, dtype=np.float64)
-        chosen_hi = np.empty(rows, dtype=np.float64)
+        # one row per pass the budget allows, and no more
+        limit, stop = _budget(problem.bracket, options)
+        nodes_x = np.empty((limit, sections - 1), dtype=np.float64)
+        nodes_f = np.empty((limit, sections - 1), dtype=np.float64)
+        chosen_lo = np.empty(limit, dtype=np.float64)
+        chosen_hi = np.empty(limit, dtype=np.float64)
         term, root, residual, iterations = kernel(
             problem.bracket.lo, problem.bracket.hi, f_lo, f_hi, sections,
-            options.width_tolerance, options.residual_tolerance, cap,
+            options.residual_tolerance, limit,
             nodes_x, nodes_f, chosen_lo, chosen_hi,
         )
     except _get_numba().core.errors.NumbaError:
@@ -224,7 +219,7 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
         residual=float(residual),
         iterations=iterations,
         function_evaluations=2 + (sections - 1) * iterations,
-        termination=_TERMINATIONS[term],
+        termination=(stop, Termination.EXACT_ZERO, Termination.RESIDUAL_REACHED)[term],
         steps=Steps(problem.bracket, nodes_x[:iterations], nodes_f[:iterations],
                     chosen_lo[:iterations], chosen_hi[:iterations]),
     )

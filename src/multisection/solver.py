@@ -11,12 +11,16 @@ cost of N - 1 evaluations, so the iteration count falls like 1/log(N)
 while per-iteration cost grows linearly — the trade-off quantified in
 :mod:`multisection.model`.
 
-Termination compares a *tracked* width ``w`` (initialized to ``hi - lo``
-and updated ``w /= N`` each iteration) against ``width_tolerance`` rather
-than recomputing ``hi - lo`` of the current bracket.  The two agree to a
-rounding unit per step, but the tracked width keeps shrinking even after
-the bracket endpoints collide to adjacent doubles, which makes iteration
-counts reproducible and equal to :func:`predicted_max_iterations`.
+A solve's pass budget is fixed before its first pass: the count of
+binary64 divisions ``w /= N`` that take the bracket's width ``hi - lo``
+to ``width_tolerance`` or below (:func:`predicted_max_iterations`), cut
+to ``max_iterations`` when that is smaller, with the stop it ends in
+(``WidthReached``, or ``MaxIterations`` when the cap cut it).  No solve
+loop tracks a width or measures its bracket: the count keeps falling by
+N even after the bracket's ends collide to adjacent doubles, which makes
+iteration counts reproducible.  Every backend runs its passes under that
+one budget, and only an exact zero or the residual stop ends a solve
+early.
 
 A node value that is exactly zero terminates immediately.  The zero node
 is reported as the root and recorded as the right endpoint of the chosen
@@ -50,10 +54,12 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections.abc import Callable, Iterator, Sequence
+import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from operator import ge, le, ne
 from typing import NamedTuple, Optional
 
@@ -127,29 +133,25 @@ class Problem:
 
 def check_integer(value, name: str, least: int = 2) -> None:
     """Raise :class:`DomainError` unless ``value`` is an integer >= ``least``
-    (``bool`` is not an integer here).  The default is the least section
-    count."""
+    (``bool`` is not an integer here) and at most the largest binary64
+    value, since every count here meets binary64 arithmetic (a solve
+    divides by ``float(N)``).  The default is the least section count."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def widths(width: float, sections: int) -> Iterator[float]:
-    """Yield width, width/N, width/N/N, ... by repeated binary64 division:
-    the tracked width of a solve after 0, 1, 2, ... iterations (0.0
-    forever once it underflows)."""
-    w = width
-    while True:
-        yield w
-        w /= sections
+    if value > sys.float_info.max:
+        # no repr: a huge int may have more digits than str() allows
+        raise DomainError(f"{name} must be at most {sys.float_info.max!r}, "
+                          f"got an integer of {int(value).bit_length()} bits")
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver knobs.
 
-    ``max_iterations`` of None means no cap: the tracked width reaches
-    ``width_tolerance`` after :func:`predicted_max_iterations` iterations.
+    A solve runs at most :func:`predicted_max_iterations` passes, the
+    divisions by N that take the bracket's width to ``width_tolerance``;
+    ``max_iterations``, when not None, caps that budget.
     """
 
     sections: int = 2
@@ -502,23 +504,47 @@ def multisect_step(
     return _record(index, interval, xs, fs, lo, hi, exact)
 
 
+def _division_count(width: float, tolerance: float, sections: int) -> int:
+    """How many binary64 divisions ``w /= N``, from ``w = width``, take
+    ``w`` to ``tolerance`` or below: the one count behind every solve's
+    pass budget and every bound-sequence index."""
+    n = float(sections)  # the same bits as dividing by the int
+    count = 0
+    while width > tolerance:
+        width /= n
+        count += 1
+    return count
+
+
 def predicted_max_iterations(
     interval: Interval, width_tolerance: float, sections: int
 ) -> int:
-    """Number of iterations the solver will run before its tracked width
-    drops to ``width_tolerance``.
+    """Number of iterations a solve runs before it stops at
+    ``width_tolerance``: the count of binary64 divisions ``w /= N`` that
+    take the interval's width to the tolerance or below.
 
-    This simulates the solver's own update (``w /= sections`` in binary64)
-    bit for bit, so ``solve`` with the same arguments performs exactly this
-    many iterations unless it lands on an exact zero first.  Equivalently
+    ``solve`` fixes its pass budget by this same count, so with the same
+    arguments and no cap it performs exactly this many iterations unless
+    it lands on an exact zero or the residual stop first.  Equivalently
     it is the smallest M with width / N**M <= tol, up to the rounding of
     repeated division.
     """
     check_integer(sections, "sections")
     if not (width_tolerance > 0.0 and math.isfinite(width_tolerance)):
         raise DomainError(f"width_tolerance must be positive, got {width_tolerance}")
-    return next(i for i, w in enumerate(widths(interval.width, sections))
-                if w <= width_tolerance)
+    return _division_count(interval.width, width_tolerance, sections)
+
+
+def _budget(bracket: Interval, options: SolveOptions) -> tuple[int, Termination]:
+    """A solve's pass budget, fixed before its first pass: how many passes
+    it may run, and how it stops when it runs them all.  That is
+    ``WidthReached`` after :func:`predicted_max_iterations` passes, unless
+    ``max_iterations`` is smaller: then ``MaxIterations`` after that many."""
+    count = _division_count(bracket.width, options.width_tolerance, options.sections)
+    cap = options.max_iterations
+    if cap is None or count <= cap:
+        return count, Termination.WIDTH_REACHED
+    return cap, Termination.MAX_ITERATIONS
 
 
 def solve(
@@ -564,36 +590,21 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
     kernel in :mod:`multisection.kernels` must match it record for record."""
     f = problem.f
     sections = options.sections
-    tol = options.width_tolerance
     rtol = options.residual_tolerance
 
     f_lo, _, done = _validate_endpoints(f, problem.bracket)
     if done is not None:
         return done
 
-    cap = math.inf if options.max_iterations is None else options.max_iterations
-    n = float(sections)  # the same bits as dividing by the int
+    limit, termination = _budget(problem.bracket, options)
     lo, hi = problem.bracket.lo, problem.bracket.hi
-    passes = _passes(f, sections, f_lo, lo, hi)
-    w = hi - lo
     nodes_x, nodes_f, chosen_lo, chosen_hi = [], [], [], []
-    iterations = 0
 
-    while True:
-        if w <= tol or iterations >= cap:
-            termination = (Termination.WIDTH_REACHED if w <= tol
-                           else Termination.MAX_ITERATIONS)
-            root = lo + (hi - lo) / 2.0
-            residual = float(f(root))  # diagnostic probe, not counted
-            break
-
-        xs, fs, lo, hi, exact = next(passes)
+    for xs, fs, lo, hi, exact in islice(_passes(f, sections, f_lo, lo, hi), limit):
         nodes_x.append(xs)
         nodes_f.append(fs)
         chosen_lo.append(lo)
         chosen_hi.append(hi)
-        iterations += 1
-        w /= n
 
         if exact is not None:
             termination, root, residual = Termination.EXACT_ZERO, exact, 0.0
@@ -604,7 +615,11 @@ def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
                 termination = Termination.RESIDUAL_REACHED
                 root, residual = float(xs[best]), float(fs[best])
                 break
+    else:
+        root = lo + (hi - lo) / 2.0
+        residual = float(f(root))  # diagnostic probe, not counted
 
+    iterations = len(chosen_lo)
     return SolveResult(
         root=root,
         residual=residual,

@@ -163,19 +163,32 @@ class _FlipsAfterEndpoints:
 
 
 class TestInterpretedKernel:
-    """The numba kernel's logic, run uncompiled.  The corpus and grid
-    tests are views of the contract's ``kernel`` path kept under their
-    own ids; the rest reach where the contract does not: a stateful f, a
-    failed compile and verify reading the kernel's arrays."""
+    """The numba kernel's logic, run uncompiled.  The grid tests are
+    views of the contract's ``kernel`` path kept under their own ids; the
+    rest reach where the contract does not: the rows the kernel
+    allocates, a stateful f, a failed compile and verify reading the
+    kernel's arrays."""
 
     @pytest.fixture(autouse=True)
     def interpreted_numba(self, monkeypatch):
         use_interpreted_numba(monkeypatch)
 
-    @pytest.mark.parametrize("sections", [2, 3, 5, 81])
-    def test_corpus_matches_numpy_path(self, monkeypatch, sections):
-        for problem in corpus():
-            check("kernel", problem, SolveOptions(sections=sections), monkeypatch)
+    @pytest.mark.parametrize("options", [SolveOptions(sections=3),
+                                         SolveOptions(sections=3, max_iterations=10_000)],
+                             ids=["default", "cap10000"])
+    def test_kernel_allocates_only_the_rows_its_budget_can_fill(self, monkeypatch, options):
+        # square-8 at N = 3 runs its 34 passes; a cap above that adds no row
+        shapes = []
+        empty = kernels.np.empty
+
+        def recording(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "empty", recording)
+        result = solve(corpus()[2], options, backend="numba")
+        assert result.iterations == 34
+        assert shapes == [(34, 2), (34, 2), 34, 34]
 
     @pytest.mark.parametrize("problem,options,literal", CASES)
     def test_conformance_grid(self, monkeypatch, problem, options, literal):

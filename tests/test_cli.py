@@ -69,6 +69,11 @@ class TestSolve:
         assert code == 3
         assert ">= 2" in err
 
+    def test_section_count_beyond_binary64_exits_3(self, capsys):
+        code, out, err = run(capsys, "solve", "--corpus", "3", "--sections", "1" + "0" * 400)
+        assert (code, out) == (3, "")
+        assert err.startswith("multisection: error: sections must be at most")
+
     def test_bad_corpus_index_exits_3(self, capsys):
         code, _, err = run(capsys, "solve", "--corpus", "99")
         assert code == 3

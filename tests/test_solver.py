@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multisection import (
     BracketError,
@@ -27,7 +27,8 @@ from multisection import (
 )
 from multisection import solver
 from multisection.solver import LIST_PASS_MAX_SECTIONS, Steps
-from test_contract import ScalarOnly, check, fields, linear, textbook_multisection
+from test_contract import (PATHS, ScalarOnly, check, fields, linear, outcome, take,
+                           textbook_multisection)
 
 MU = 2.0 ** -52
 
@@ -309,6 +310,15 @@ class TestSolveExamples:
         with pytest.raises(EvaluationError):
             solve(Problem(id="nan-mid", f=f, bracket=Interval(0.0, 1.0)),
                   SolveOptions(sections=10))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_cap_equal_to_the_pass_count_still_reaches_the_width(self, path):
+        problem = corpus()[2]  # square-8 runs 34 passes at N = 3
+        for cap, stop in ((34, Termination.WIDTH_REACHED), (33, Termination.MAX_ITERATIONS)):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                result = check(path, problem, SolveOptions(sections=3, max_iterations=cap),
+                               monkeypatch)
+            assert (result.termination, result.iterations) == (stop, cap)
 
 
 class TestSolveGrid:
@@ -683,7 +693,8 @@ def magnitudes(least):
 
 class TestHugeBrackets:
     """No node is built outside the bracket: a (bracket, N) pair whose
-    ``(N - 1) * width`` overflows is refused before any backend runs."""
+    ``(N - 1) * width`` overflows, or an N beyond binary64, is refused
+    before any backend runs."""
 
     @pytest.mark.parametrize("sections", [3, 13])
     def test_overflowing_nodes_raise_before_any_backend_runs(self, sections):
@@ -700,6 +711,23 @@ class TestHugeBrackets:
                 solve(problem, SolveOptions(sections=sections), backend=backend)
         with pytest.raises(DomainError, match="overflow"):
             multisect_step(problem.bracket, f, sections)
+        assert calls == []
+
+    def test_a_section_count_beyond_binary64_is_a_domain_error(self):
+        # 10**400 sections fail the count check; nothing is built or called
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        bracket, sections = Interval(0.0, 1.0), 10 ** 400
+        problem = Problem(id="huge-n", f=f, bracket=bracket)
+        for attempt in (lambda: solve(problem, SolveOptions(sections=sections)),
+                        lambda: multisect_step(bracket, f, sections),
+                        lambda: predicted_max_iterations(bracket, MU, sections)):
+            with pytest.raises(DomainError, match="sections must be at most"):
+                attempt()
         assert calls == []
 
     @given(
@@ -729,3 +757,45 @@ class TestHugeBrackets:
         if result.termination is Termination.WIDTH_REACHED:
             assert result.iterations == predicted_max_iterations(
                 problem.bracket, MU, sections)
+
+    # each example runs five solves and a textbook replay, most of them
+    # one Python call of f per node
+    @settings(max_examples=50)
+    @given(
+        lo=st.builds(math.copysign, magnitudes(-1075), st.sampled_from([1.0, -1.0])),
+        width=st.one_of(magnitudes(-1073), magnitudes(1000)),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        sections=st.integers(min_value=2, max_value=4096),
+    )
+    def test_every_path_keeps_the_contract_anywhere_in_binary64(
+            self, lo, width, frac, sections):
+        hi = min(lo + width, 1.7e308)
+        if not (lo < hi and math.isfinite(hi - lo)):
+            return  # no bracket: Interval refuses it
+        root = min(max(lo + frac * (hi - lo), lo), hi)
+        problem = Problem(id="hyp-huge", f=lambda x: x - root, bracket=Interval(lo, hi))
+        options = SolveOptions(sections=sections)
+        if not math.isfinite((sections - 1) * (hi - lo)):
+            expected = outcome(problem, options)
+            assert expected[0] is DomainError
+            for path in PATHS:  # refused before any backend evaluates f
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    solved, backend = take(path, problem, sections, monkeypatch)
+                    assert outcome(solved, options, backend) == expected
+            return
+        # the passes recounted here: binary64 divisions of the width by N
+        count, w = 0, hi - lo
+        while w > MU:
+            w /= sections
+            count += 1
+        for path in PATHS:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                result = check(path, problem, options, monkeypatch)
+            assert lo <= result.root <= hi
+            assert all(lo <= x <= hi for record in result.trace
+                       for x, _ in record.evaluated_nodes)
+            if result.termination is Termination.EXACT_ZERO:
+                assert result.iterations <= count
+            else:
+                assert (result.termination, result.iterations) == \
+                    (Termination.WIDTH_REACHED, count)
