@@ -10,6 +10,15 @@ spirit and much existing code catches ``ValueError`` for that.
 from __future__ import annotations
 
 
+def describe(value) -> str:
+    """``repr(value)`` for an error message, or an integer's bit length
+    when it has more digits than ``str()`` allows."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {int(value).bit_length()} bits"
+
+
 class MultisectionError(Exception):
     """Base class for all errors raised by this package."""
 

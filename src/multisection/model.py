@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, describe
 from .lambert import lambert_w0
 
 __all__ = [
@@ -120,17 +120,23 @@ class EfficiencyReport:
     curve: tuple[tuple[int, float], ...]
 
 
+def _check_n(N) -> None:
+    """Raise :class:`DomainError` unless N is a finite real >= 2.  N stays
+    real (the model is continuous in N), so 2.5 passes; NaN, an infinity
+    and a bool (which compares as 0 or 1) do not."""
+    if not 2 <= N < math.inf:
+        raise DomainError(f"N must be a finite number >= 2, got {describe(N)}")
+
+
 def total_function_evals(N: int, scale: ProblemScale) -> float:
     """T_f(N) = (N-1) * ln(width/mu) / ln N, the evaluation count."""
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
+    _check_n(N)
     return (N - 1) * scale.depth / math.log(N)
 
 
 def total_time(N: int, cost: CostModel, scale: ProblemScale) -> float:
     """T_t(N) = (m*N + c) * ln(width/mu) / ln N, in seconds."""
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
+    _check_n(N)
     return (cost.m * N + cost.c) * scale.depth / math.log(N)
 
 

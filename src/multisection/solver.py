@@ -28,19 +28,20 @@ subinterval (sign 0 differs from the nonzero sign to its left), so every
 iteration record — including the last one of an exact-zero run — carries a
 genuine subinterval of 1/N the parent width.
 
-One generator, :func:`_passes`, runs a solve's passes: what stays fixed
-within a solve (the pass, the departure test, ``float(N)`` and the node
-index) is one of its locals.  Each pass calls f once, on an array of its
-nodes.  Up to :data:`LIST_PASS_MAX_SECTIONS` sections the pass builds
-the nodes and scans their values as Python floats around that one call
-(numpy's per-call overhead dominates on a handful of nodes); above it,
-numpy builds the nodes and does the NaN check and the sign scan.  Once f
-rejects an array, every later pass runs over Python floats with one call
-per node and no numpy in the loop.  All passes share the rule that picks
-the chosen subinterval, so they give bit-identical results whenever f
-returns the same bits for a float as for an array.  A bracket whose
-``(N - 1) * width`` overflows is refused with :class:`DomainError`, so
-no node ever falls outside its bracket.
+One loop per solve, :func:`_multisect`, runs all of a solve's passes in
+one call, with what stays fixed within a solve (numpy's functions, the
+result shape, the pass, the departure test, ``float(N)`` and the node
+index) bound once as its locals.  Each pass calls f once, on an array of
+its nodes.  Up to :data:`LIST_PASS_MAX_SECTIONS` sections the pass
+builds the nodes and scans their values as Python floats around that
+call (numpy's per-call overhead dominates on a handful of nodes); above
+it, numpy builds the nodes and does the NaN check and the sign scan.
+Once f rejects an array, every later pass runs over Python floats with
+one call per node and no numpy in the loop.  All passes share the rule
+that picks the chosen subinterval, so they give bit-identical results
+whenever f returns the same bits for a float as for an array.  A bracket
+whose ``(N - 1) * width`` overflows is refused with :class:`DomainError`,
+so no node ever falls outside its bracket.
 
 A solve keeps each iteration's nodes, their values and the chosen
 endpoints as they are (arrays from the array pass, lists from the list
@@ -59,7 +60,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 from operator import ge, le, ne
 from typing import NamedTuple, Optional
 
@@ -70,6 +70,7 @@ from .errors import (
     DomainError,
     EvaluationError,
     NoSignChangeError,
+    describe,
 )
 
 logger = logging.getLogger(__name__)
@@ -138,9 +139,8 @@ def check_integer(value, name: str, least: int = 2) -> None:
     divides by ``float(N)``).  The default is the least section count."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= {least}, got {describe(value)}")
     if value > sys.float_info.max:
-        # no repr: a huge int may have more digits than str() allows
         raise DomainError(f"{name} must be at most {sys.float_info.max!r}, "
                           f"got an integer of {int(value).bit_length()} bits")
 
@@ -387,32 +387,35 @@ def _check_nodes_finite(interval: Interval, sections: int) -> None:
         )
 
 
-def _passes(f: Callable[[float], float], sections: int, f_lo: float,
-            lo: float, hi: float):
-    """One solve's N-section passes, the first over [lo, hi] and each
-    later one over the pair the one before it chose.
+def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
+               lo: float, hi: float, limit: int, rtol: float = 0.0):
+    """Run up to ``limit`` N-section passes in one frame, the first over
+    [lo, hi] and each later one over the pair the one before it chose.
 
-    Each pass evaluates the nodes and yields them, their f values, the
-    leftmost pair of adjacent points (endpoints included) whose signs
-    differ, and its hi when f is zero there (the exact root), else None.
-    f at ``lo`` has the sign of ``f_lo`` and f at ``hi`` departs from it,
-    so the pair ends at the first departing node, or at ``hi`` when none
-    departs.  A NaN node raises :class:`EvaluationError`.
-
-    What stays fixed within a solve is a local, set once: the departure
-    test, ``float(N)``, and the pass (list or array, see the module
-    docstring) with its node index.  The first time f rejects the node
-    array (any exception but :class:`EvaluationError`, or a result of the
-    wrong shape), that pass and every later one call f once per node.
+    Each pass keeps the leftmost pair of adjacent points (endpoints
+    included) whose signs differ: f at ``lo`` has the sign of ``f_lo``, so
+    the pair ends at the first node that departs from it, or at ``hi``.
+    A NaN node raises :class:`EvaluationError`.  Returns the stop, the
+    root, its residual and the four step lists: ``ExactZero`` at a zero
+    node, ``ResidualReached`` at the first node of least ``|f|`` when
+    that is at most ``rtol`` > 0, else None with the last pair's midpoint
+    and no residual.  What is fixed within a solve is bound once, after
+    the zero-pass return.  The first time f rejects the node array (any
+    exception but :class:`EvaluationError`, or a result of the wrong
+    shape), that pass and every later one call f once per node.
     """
+    steps = nodes_x, nodes_f, chosen_lo, chosen_hi = [], [], [], []
+    if not limit:
+        return None, lo + (hi - lo) / 2.0, None, steps
+    asarray, array_of, float64, isnan = np.asarray, np.array, np.float64, math.isnan
+    shape = (sections - 1,)
     departs = _departure(f_lo)
-    isnan = math.isnan
     # dividing by the float gives the bits of dividing by the int
     n = float(sections)
     array_pass = sections > LIST_PASS_MAX_SECTIONS
     vectorized = True
-    j = np.arange(1, sections, dtype=np.float64) if array_pass else range(1, sections)
-    while True:
+    j = np.arange(1, sections, dtype=float64) if array_pass else range(1, sections)
+    for _ in range(limit):
         # node arithmetic is pinned so every pass and backend sees
         # bit-identical abscissas: the same three operations in order
         if array_pass:
@@ -421,14 +424,14 @@ def _passes(f: Callable[[float], float], sections: int, f_lo: float,
             span = hi - lo
             xs = [lo + (i * span) / n for i in j]
         if vectorized:
-            array = xs if array_pass else np.array(xs)
+            array = xs if array_pass else array_of(xs)
             try:
-                fs = np.asarray(f(array), dtype=np.float64)
+                fs = asarray(f(array), dtype=float64)
             except EvaluationError:
                 raise
             except Exception:
                 fs = None
-            if fs is None or fs.shape != array.shape:
+            if fs is None or fs.shape != shape:
                 vectorized = array_pass = False
                 j = range(1, sections)
                 xs = array.tolist()
@@ -454,13 +457,24 @@ def _passes(f: Callable[[float], float], sections: int, f_lo: float,
         # every point before the leftmost change has the sign of f(lo), so
         # that change ends at the first point that departs from it
         if k is None:
-            lo, exact = float(xs[-1]), None
+            lo = xs[-1]
         else:
             if k > 0:
-                lo = float(xs[k - 1])
-            hi = float(xs[k])
-            exact = hi if fs[k] == 0.0 else None
-        yield xs, fs, lo, hi, exact
+                lo = xs[k - 1]
+            hi = xs[k]
+        if array_pass:  # the list passes' nodes are Python floats already
+            lo, hi = float(lo), float(hi)
+        nodes_x.append(xs)
+        nodes_f.append(fs)
+        chosen_lo.append(lo)
+        chosen_hi.append(hi)
+        if k is not None and fs[k] == 0.0:
+            return Termination.EXACT_ZERO, hi, 0.0, steps
+        if rtol > 0.0:
+            best = _first_smallest(fs)
+            if abs(fs[best]) <= rtol:
+                return Termination.RESIDUAL_REACHED, float(xs[best]), float(fs[best]), steps
+    return None, lo + (hi - lo) / 2.0, None, steps
 
 
 def multisect_step(
@@ -491,7 +505,9 @@ def multisect_step(
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise EvaluationError("endpoint function value is NaN")
     departs = _departure(f_lo)
-    xs, fs, lo, hi, exact = next(_passes(f, sections, f_lo, interval.lo, interval.hi))
+    stop, root, _, steps = _multisect(f, sections, f_lo, interval.lo, interval.hi, 1)
+    (xs,), (fs,), (lo,), (hi,) = steps
+    exact = None if stop is None else root
     if not any(departs(fx, 0.0) for fx in fs):
         # the chosen pair is the last node and interval.hi
         if not departs(f_hi, 0.0):
@@ -588,45 +604,26 @@ def _first_smallest(fs) -> int:
 def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
     """The plain Python/numpy solve loop.  Semantics live here; the numba
     kernel in :mod:`multisection.kernels` must match it record for record."""
-    f = problem.f
-    sections = options.sections
-    rtol = options.residual_tolerance
-
-    f_lo, _, done = _validate_endpoints(f, problem.bracket)
+    f, bracket, sections = problem.f, problem.bracket, options.sections
+    f_lo, _, done = _validate_endpoints(f, bracket)
     if done is not None:
         return done
 
-    limit, termination = _budget(problem.bracket, options)
-    lo, hi = problem.bracket.lo, problem.bracket.hi
-    nodes_x, nodes_f, chosen_lo, chosen_hi = [], [], [], []
-
-    for xs, fs, lo, hi, exact in islice(_passes(f, sections, f_lo, lo, hi), limit):
-        nodes_x.append(xs)
-        nodes_f.append(fs)
-        chosen_lo.append(lo)
-        chosen_hi.append(hi)
-
-        if exact is not None:
-            termination, root, residual = Termination.EXACT_ZERO, exact, 0.0
-            break
-        if rtol > 0.0:
-            best = _first_smallest(fs)
-            if abs(fs[best]) <= rtol:
-                termination = Termination.RESIDUAL_REACHED
-                root, residual = float(xs[best]), float(fs[best])
-                break
-    else:
-        root = lo + (hi - lo) / 2.0
+    limit, termination = _budget(bracket, options)
+    stop, root, residual, steps = _multisect(f, sections, f_lo, bracket.lo, bracket.hi,
+                                             limit, options.residual_tolerance)
+    if stop is None:  # every pass ran
         residual = float(f(root))  # diagnostic probe, not counted
-
-    iterations = len(chosen_lo)
+    else:
+        termination = stop
+    iterations = len(steps[0])
     return SolveResult(
         root=root,
         residual=residual,
         iterations=iterations,
         function_evaluations=2 + (sections - 1) * iterations,
         termination=termination,
-        steps=Steps(problem.bracket, nodes_x, nodes_f, chosen_lo, chosen_hi),
+        steps=Steps(bracket, *steps),
     )
 
 

@@ -18,6 +18,11 @@ rejected array call in a solve that ran a pass and none in one that did
 not; ``kernel``, the numba kernel run uncompiled through
 :class:`InterpretedNumba`.  Compiled numba runs only in
 ``test_backends.py`` (``TestParity``, ``TestFallback``).
+
+On the list and array paths f must get the endpoints and the probe as
+Python floats and each pass's nodes in one float64 array; the chosen
+ends are Python floats on every path, and so are the nodes and values
+the list and per-node paths keep.
 """
 
 import math
@@ -266,3 +271,52 @@ def test_one_step_is_the_first_record_of_a_solve(monkeypatch, path, problem, opt
     assert multisect_step(problem.bracket, stepped.f, options.sections) == first
     if path == "per-node":
         assert stepped.f.rejected == 1
+
+
+class Recording:
+    """Wraps f, keeping a copy of every argument it is called with."""
+
+    def __init__(self, f):
+        self.f = f
+        self.args = []
+
+    def __call__(self, x):
+        self.args.append(x.copy() if isinstance(x, np.ndarray) else x)
+        return self.f(x)
+
+
+@pytest.mark.parametrize("problem,options,literal",
+                         [case for case in CASES if case.id.endswith("-default")
+                          and case.values[1].sections in (2, 12, 13, 250)])
+@pytest.mark.parametrize("path", ("list", "array"))
+def test_each_pass_calls_f_once_on_a_float64_array(monkeypatch, path, problem, options,
+                                                   literal):
+    """f sees the two endpoints and the probe as Python floats, and each
+    pass's nodes as one float64 array of shape (N - 1,)."""
+    taken, _ = take(path, problem, options.sections, monkeypatch)
+    f = Recording(taken.f)
+    result = solve(Problem(taken.id, f, taken.bracket), options)
+    probe = result.termination is not Termination.EXACT_ZERO
+    n = result.iterations
+    assert len(f.args) == 2 + n + probe
+    ends, passes, probed = f.args[:2], f.args[2:2 + n], f.args[2 + n:]
+    assert all(type(x) is float for x in ends + probed)
+    assert ends == [problem.bracket.lo, problem.bracket.hi]
+    assert probed == ([result.root] if probe else [])
+    for array, record in zip(passes, result.trace):
+        assert type(array) is np.ndarray and array.dtype == np.float64
+        assert array.shape == (options.sections - 1,)
+        assert array.tolist() == [x for x, _ in record.evaluated_nodes]
+
+
+@pytest.mark.parametrize("problem,options,literal",
+                         [case for case in CASES if case.id.endswith("-default")])
+@pytest.mark.parametrize("path", ("list", "array", "per-node"))
+def test_steps_keep_python_floats(monkeypatch, path, problem, options, literal):
+    """The chosen ends are Python floats on every path, and so are the
+    nodes and values the list and per-node paths keep."""
+    taken, _ = take(path, problem, options.sections, monkeypatch)
+    steps = solve(taken, options).steps
+    assert all(type(end) is float for end in [*steps.chosen_lo, *steps.chosen_hi])
+    if path != "array":
+        assert all(type(v) is float for seq in [*steps.nodes_x, *steps.nodes_f] for v in seq)

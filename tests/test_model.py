@@ -105,6 +105,26 @@ class TestTotalTime:
             total_time(1, CostModel(m=1.0, c=1.0), ProblemScale(width=1.0))
 
 
+class TestSectionCountDomain:
+    """T_f and T_t take any finite real N >= 2 and refuse the rest
+    with DomainError, never a NaN result."""
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, True, False, 1.999,
+                                   pytest.param(-10 ** 5000, id="too-long-to-print")])
+    def test_refused(self, n):
+        scale = ProblemScale(width=1.0)
+        with pytest.raises(DomainError, match="N must be a finite number >= 2"):
+            total_function_evals(n, scale)
+        with pytest.raises(DomainError, match="N must be a finite number >= 2"):
+            total_time(n, CostModel(m=1.0, c=1.0), scale)
+
+    def test_real_n_is_accepted(self):
+        scale = ProblemScale(width=1.0)
+        assert total_function_evals(2.5, scale) == 1.5 * scale.depth / math.log(2.5)
+        assert total_time(2.5, CostModel(m=1.0, c=1.0), scale) == \
+            3.5 * scale.depth / math.log(2.5)
+
+
 class TestNMinReal:
     def test_known_values(self):
         # frozen from a 50-digit solve of N lnN - N = R

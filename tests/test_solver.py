@@ -26,6 +26,7 @@ from multisection import (
     verify_error_bounds,
 )
 from multisection import solver
+from multisection.bench import SweepConfig
 from multisection.solver import LIST_PASS_MAX_SECTIONS, Steps
 from test_contract import (PATHS, ScalarOnly, check, fields, linear, outcome, take,
                            textbook_multisection)
@@ -729,6 +730,16 @@ class TestHugeBrackets:
             with pytest.raises(DomainError, match="sections must be at most"):
                 attempt()
         assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda n: SolveOptions(sections=n),
+        lambda n: SolveOptions(max_iterations=n),
+        lambda n: SweepConfig(problem=corpus()[0], min_loops=n),
+    ], ids=["sections", "max_iterations", "min_loops"])
+    def test_a_count_too_long_to_print_is_a_domain_error(self, make):
+        # -10**5000 has more digits than str() allows: the message gives its bits
+        with pytest.raises(DomainError, match="got an integer of 16610 bits"):
+            make(-10 ** 5000)
 
     @given(
         lo=st.builds(math.copysign, magnitudes(-1075), st.sampled_from([1.0, -1.0])),
