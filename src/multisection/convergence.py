@@ -92,10 +92,13 @@ class BoundSequence:
 
 
 def bound_at(seq: BoundSequence, i: int) -> float:
-    """B_i by i successive binary64 divisions (mirrors solver arithmetic)."""
-    if i < 0:
-        raise DomainError(f"index must be >= 0, got {i}")
-    return next(islice(seq.values(), i, None))
+    """B_i by i successive binary64 divisions (mirrors solver arithmetic).
+    The index is an integer >= 0 (:func:`check_integer`); once a division
+    gives 0.0 every later B is 0.0, so the divisions stop there."""
+    check_integer(i, "index", 0)
+    for k, bound in enumerate(seq.values()):
+        if k == i or bound == 0.0:
+            return bound
 
 
 def first_index_below(seq: BoundSequence, eps: float) -> int:

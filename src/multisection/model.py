@@ -33,6 +33,7 @@ significant digit are common).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -121,11 +122,16 @@ class EfficiencyReport:
 
 
 def _check_n(N) -> None:
-    """Raise :class:`DomainError` unless N is a finite real >= 2.  N stays
-    real (the model is continuous in N), so 2.5 passes; NaN, an infinity
-    and a bool (which compares as 0 or 1) do not."""
+    """Raise :class:`DomainError` unless N is a finite real >= 2 and at
+    most the largest binary64 value, since the model's arithmetic is
+    binary64.  N stays real (the model is continuous in N), so 2.5
+    passes; NaN, an infinity, a bool (which compares as 0 or 1) and an
+    integer too large for a float do not."""
     if not 2 <= N < math.inf:
         raise DomainError(f"N must be a finite number >= 2, got {describe(N)}")
+    if N > sys.float_info.max:
+        raise DomainError(f"N must be at most {sys.float_info.max!r}, "
+                          f"got an integer of {int(N).bit_length()} bits")
 
 
 def total_function_evals(N: int, scale: ProblemScale) -> float:

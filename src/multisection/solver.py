@@ -395,7 +395,10 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     Each pass keeps the leftmost pair of adjacent points (endpoints
     included) whose signs differ: f at ``lo`` has the sign of ``f_lo``, so
     the pair ends at the first node that departs from it, or at ``hi``.
-    A NaN node raises :class:`EvaluationError`.  Returns the stop, the
+    A NaN node raises :class:`EvaluationError` that names the first NaN
+    node, before the departure scan; the array pass finds it with one
+    ``argmax`` over the values, which returns the first NaN's index when
+    there is one, and builds no boolean array.  Returns the stop, the
     root, its residual and the four step lists: ``ExactZero`` at a zero
     node, ``ResidualReached`` at the first node of least ``|f|`` when
     that is at most ``rtol`` > 0, else None with the last pair's midpoint
@@ -436,9 +439,9 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
                 j = range(1, sections)
                 xs = array.tolist()
         if array_pass:
-            nan = np.isnan(fs)
-            k = nan.argmax()
-            if nan[k]:
+            # argmax returns the index of the first NaN when there is one
+            k = fs.argmax()
+            if isnan(fs[k]):
                 raise EvaluationError(f"f({xs[k]}) is NaN")
             hits = departs(fs, 0.0)
             k = int(hits.argmax())

@@ -140,6 +140,18 @@ def linear(root, nan_at=math.nan):
     return Problem(id=f"linear-{root}", f=f, bracket=Interval(0.0, 1.0))
 
 
+def pinned(values, falling=False):
+    """``x - 0.6`` on [0, 1], or ``0.6 - x`` when ``falling``, except at the
+    points that ``values`` maps to a value; takes floats and arrays."""
+    def f(x):
+        y = 0.6 - x if falling else x - 0.6
+        for at, value in values.items():
+            y = np.where(x == at, value, y)
+        return y
+    return Problem(id="pinned-falling" if falling else "pinned",
+                   f=f, bracket=Interval(0.0, 1.0))
+
+
 OPTIONS = {
     "default": {},
     "cap0": {"max_iterations": 0},
@@ -178,6 +190,19 @@ CASES = [
                  (BracketError, "f does not change sign over [3.0, 5.0]: "
                                 "f(lo)=1.0, f(hi)=17.0"),
                  id="no-sign-change"),
+] + [
+    # the first NaN is named, left of every later one and past ±inf, on a
+    # rising (f(lo) < 0) and a falling (f(lo) > 0) bracket alike
+    pytest.param(pinned(values, falling), SolveOptions(sections=n),
+                 (EvaluationError, f"f({node(first, n)}) is NaN"),
+                 id=f"{case}-{'falling' if falling else 'rising'}-N{n}")
+    for n in (4, 13)
+    for falling in (False, True)
+    for case, values, first in (
+        ("nan-two", {node(2, n): math.nan, node(n - 1, n): math.nan}, 2),
+        ("nan-after-infs", {node(1, n): math.inf, node(2, n): -math.inf,
+                            node(3, n): math.nan}, 3),
+    )
 ]
 
 

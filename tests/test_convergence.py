@@ -80,6 +80,33 @@ class TestBoundSequence:
             assert i < 1100
 
 
+class TestBoundAtIndex:
+    """bound_at takes any integer index >= 0 through check_integer, and a
+    huge one costs no more than reaching 0.0."""
+
+    @pytest.mark.parametrize("i", [2.5, True, -1])
+    def test_non_integer_or_negative_index_refused(self, i):
+        with pytest.raises(DomainError, match="index must be an integer >= 0"):
+            bound_at(BoundSequence(1.0, 2), i)
+
+    @pytest.mark.parametrize("i", [10 ** 7, 2 ** 63, int(sys.float_info.max)],
+                             ids=["10**7", "2**63", "largest-float"])
+    def test_huge_index_is_zero(self, i):
+        assert bound_at(BoundSequence(1.0, 2), i) == 0.0
+
+    def test_index_beyond_binary64_refused(self):
+        with pytest.raises(DomainError, match="index must be at most"):
+            bound_at(BoundSequence(1.0, 2), 10 ** 400)
+
+    @pytest.mark.parametrize("width,base", [(1.0, 2), (math.pi, 3), (1e300, 7),
+                                            (5e-324, 2), (1.5, 4096)])
+    def test_every_index_matches_the_division_sequence(self, width, base):
+        seq = BoundSequence(width, base)
+        head = list(itertools.islice(seq.values(), 1200))
+        assert head[-1] == 0.0
+        assert [bound_at(seq, i) for i in range(1200)] == head
+
+
 class TestFirstIndexBelow:
     def test_threshold_equal_to_width(self):
         assert first_index_below(BoundSequence(1.0, 2), 1.0) == 0

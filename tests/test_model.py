@@ -1,6 +1,7 @@
 """Cost model: evaluation counts, wall-time model, and optimal section counts."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +118,23 @@ class TestSectionCountDomain:
             total_function_evals(n, scale)
         with pytest.raises(DomainError, match="N must be a finite number >= 2"):
             total_time(n, CostModel(m=1.0, c=1.0), scale)
+
+    @pytest.mark.parametrize("n", [10 ** 400, int(sys.float_info.max) + 1],
+                             ids=["10**400", "largest-float-plus-1"])
+    def test_integer_beyond_binary64_is_refused(self, n):
+        # as check_integer refuses it, not with OverflowError from m * N
+        scale = ProblemScale(width=1.0)
+        with pytest.raises(DomainError, match="N must be at most .* bits"):
+            total_function_evals(n, scale)
+        with pytest.raises(DomainError, match="N must be at most .* bits"):
+            total_time(n, CostModel(m=1.0, c=1.0), scale)
+
+    def test_largest_binary64_integer_is_accepted(self):
+        # the products overflow to inf in binary64; nothing raises
+        n = int(sys.float_info.max)
+        scale = ProblemScale(width=1.0)
+        assert total_function_evals(n, scale) == math.inf
+        assert total_time(n, CostModel(m=1.0, c=1.0), scale) == math.inf
 
     def test_real_n_is_accepted(self):
         scale = ProblemScale(width=1.0)
