@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import random
 import statistics
 import time
@@ -313,10 +314,15 @@ def fit_linear(samples: Sequence[TimingSample]) -> LinearFit:
     :class:`DegenerateError` when all N coincide and :class:`FitError`
     when the fitted m or c is non-positive, which flags an unusable
     calibration rather than letting a nonsensical R propagate; the error
-    carries the samples, so a caller can keep the measurement.
+    carries the samples, so a caller can keep the measurement.  A sample
+    whose mean is NaN or infinite raises :class:`DomainError` naming its N.
     """
     if len(samples) < 2:
         raise DomainError(f"need at least 2 samples, got {len(samples)}")
+    for s in samples:
+        if not math.isfinite(s.mean_loop_seconds):
+            raise DomainError(f"the sample at N={s.N} has a non-finite "
+                              f"mean_loop_seconds: {s.mean_loop_seconds}")
     if len({s.N for s in samples}) < 2:
         raise DegenerateError("all samples share one N; slope is undefined")
 

@@ -33,6 +33,7 @@ significant digit are common).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -194,12 +195,17 @@ def efficiency_report(
 ) -> EfficiencyReport:
     """Assemble N_min, RelEff, and the T_t curve over ``n_range``.
 
-    ``n_range`` must contain 2 (RangeError otherwise) since every ratio in
+    ``n_range`` holds integers (DomainError otherwise: 3.7 is not read as
+    3) and must contain 2 (RangeError otherwise) since every ratio in
     the report is anchored at T_t(2).  ``n_min_integer`` is the global
     minimizer whether or not the range covers it; the curve is purely for
     presentation/plotting.
     """
-    ns = sorted(set(int(n) for n in n_range))
+    ns = list(n_range)
+    for n in ns:
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise DomainError(f"n_range values must be integers, got {describe(n)}")
+    ns = sorted(set(int(n) for n in ns))
     if 2 not in ns:
         raise RangeError("n_range must contain N=2, the efficiency anchor")
     if ns[0] < 2:

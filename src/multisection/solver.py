@@ -20,7 +20,8 @@ loop tracks a width or measures its bracket: the count keeps falling by
 N even after the bracket's ends collide to adjacent doubles, which makes
 iteration counts reproducible.  Every backend runs its passes under that
 one budget, and only an exact zero or the residual stop ends a solve
-early.
+early.  The count is memoised per (width, tolerance, N), so back-to-back
+solves of one bracket count it once.
 
 A node value that is exactly zero terminates immediately.  The zero node
 is reported as the root and recorded as the right endpoint of the chosen
@@ -31,11 +32,16 @@ genuine subinterval of 1/N the parent width.
 One loop per solve, :func:`_multisect`, runs all of a solve's passes in
 one call, with what stays fixed within a solve (numpy's functions, the
 result shape, the pass, the departure test, ``float(N)`` and the node
-index) bound once as its locals.  Each pass calls f once, on an array of
-its nodes.  Up to :data:`LIST_PASS_MAX_SECTIONS` sections the pass
-builds the nodes and scans their values as Python floats around that
-call (numpy's per-call overhead dominates on a handful of nodes); above
-it, numpy builds the nodes and does the NaN check and the sign scan.
+index) bound once as its locals.  The node index is the float array
+``1.0 .. N - 1``, taken as a list of Python floats by the list and
+per-node passes: each index is exact, so every node has the bits of the
+int-index formula, and ``i * span`` is a float product, which the
+interpreter multiplies faster than an int by a float.  Each pass calls
+f once, on an array of its nodes.  Up to :data:`LIST_PASS_MAX_SECTIONS`
+sections the pass builds the nodes and scans their values as Python
+floats around that call (numpy's per-call overhead dominates on a
+handful of nodes); above it, numpy builds the nodes and does the NaN
+check and the sign scan.
 Once f rejects an array, every later pass runs over Python floats with
 one call per node and no numpy in the loop.  All passes share the rule
 that picks the chosen subinterval, so they give bit-identical results
@@ -59,7 +65,7 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import ge, le, ne
 from typing import NamedTuple, Optional
 
@@ -252,6 +258,15 @@ class SolveResult:
     termination: Termination
     steps: Optional[Steps] = field(default=None, repr=False)
 
+    def __init__(self, root: float, residual: float, iterations: int,
+                 function_evaluations: int, termination: Termination,
+                 steps: Optional[Steps] = None):
+        # one dict update instead of the frozen dataclass's generated
+        # __init__, which makes one object.__setattr__ call per field
+        self.__dict__.update(root=root, residual=residual, iterations=iterations,
+                             function_evaluations=function_evaluations,
+                             termination=termination, steps=steps)
+
     def _chosen(self) -> list[tuple[float, float, Optional[float]]]:
         """Per iteration, the chosen subinterval's ends and the exact zero
         the iteration hit, else None.  Only the last iteration of an
@@ -403,9 +418,12 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     node, ``ResidualReached`` at the first node of least ``|f|`` when
     that is at most ``rtol`` > 0, else None with the last pair's midpoint
     and no residual.  What is fixed within a solve is bound once, after
-    the zero-pass return.  The first time f rejects the node array (any
-    exception but :class:`EvaluationError`, or a result of the wrong
-    shape), that pass and every later one call f once per node.
+    the zero-pass return, the node index among it: ``1.0 .. N - 1`` as
+    floats, an array for the array pass and a list of Python floats for
+    the others.  The first time f rejects the node array (any exception
+    but :class:`EvaluationError`, or a result of the wrong shape), that
+    pass and every later one call f once per node, over the index as a
+    list.
     """
     steps = nodes_x, nodes_f, chosen_lo, chosen_hi = [], [], [], []
     if not limit:
@@ -417,7 +435,12 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     n = float(sections)
     array_pass = sections > LIST_PASS_MAX_SECTIONS
     vectorized = True
-    j = np.arange(1, sections, dtype=float64) if array_pass else range(1, sections)
+    # the node index as floats: each is exact, so i * span has the bits
+    # of the int product, and a float pair takes the interpreter's fast
+    # float multiply
+    j = np.arange(1, sections, dtype=float64)
+    if not array_pass:
+        j = j.tolist()
     for _ in range(limit):
         # node arithmetic is pinned so every pass and backend sees
         # bit-identical abscissas: the same three operations in order
@@ -435,8 +458,9 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
             except Exception:
                 fs = None
             if fs is None or fs.shape != shape:
+                if array_pass:
+                    j = j.tolist()
                 vectorized = array_pass = False
-                j = range(1, sections)
                 xs = array.tolist()
         if array_pass:
             # argmax returns the index of the first NaN when there is one
@@ -523,10 +547,13 @@ def multisect_step(
     return _record(index, interval, xs, fs, lo, hi, exact)
 
 
+@lru_cache
 def _division_count(width: float, tolerance: float, sections: int) -> int:
     """How many binary64 divisions ``w /= N``, from ``w = width``, take
     ``w`` to ``tolerance`` or below: the one count behind every solve's
-    pass budget and every bound-sequence index."""
+    pass budget and every bound-sequence index.  Memoised: keys that
+    compare equal (3 and 3.0) divide to the same bits, so they share a
+    count."""
     n = float(sections)  # the same bits as dividing by the int
     count = 0
     while width > tolerance:

@@ -1,5 +1,6 @@
 """Timing harness: measurement protocol, exact-arithmetic fit, calibration."""
 
+import math
 
 import pytest
 
@@ -58,6 +59,38 @@ class CountingRunner:
         return count * 1e-6
 
 
+class InterleavedRunner:
+    """Runs every batch twice, back to back, on ``runner``, alternating
+    which of the pair it returns; the other of each pair is kept for a
+    :class:`ReplayRunner`.  Two measurements, one through this runner and
+    one through the replay of what it kept, are then interleaved batch by
+    batch, so a drift in the host's speed falls on both alike."""
+
+    def __init__(self, runner):
+        self.runner = runner
+        self.resolution = runner.resolution
+        self.kept = []
+
+    def timed_loops(self, problem, options, target_loops):
+        pair = [self.runner.timed_loops(problem, options, target_loops)
+                for _ in range(2)]
+        if len(self.kept) % 2:
+            pair.reverse()
+        self.kept.append(pair[1])
+        return pair[0]
+
+
+class ReplayRunner:
+    """Returns the given ``(loops, elapsed)`` batches in order."""
+
+    def __init__(self, batches, resolution):
+        self.batches = iter(batches)
+        self.resolution = resolution
+
+    def timed_loops(self, problem, options, target_loops):
+        return next(self.batches)
+
+
 class TestSweepConfig:
     def test_defaults(self):
         config = SweepConfig(problem=corpus()[2])
@@ -82,6 +115,23 @@ class TestSweepConfig:
 
 
 class TestFitLinear:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_names_its_n(self, bad):
+        samples = line_samples(2.0, 3.0, [2, 5, 9])
+        samples[1] = TimingSample(N=5, mean_loop_seconds=bad,
+                                  stddev_loop_seconds=0.0, loop_count=1000)
+        with pytest.raises(DomainError, match="N=5"):
+            fit_linear(samples)
+
+    def test_non_finite_sample_read_from_csv(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(line_samples(2.0, 3.0, [2, 7]), path)
+        path.write_text(path.read_text().replace("17.0", "nan"))
+        samples = read_sweep_csv(path)
+        assert math.isnan(samples[1].mean_loop_seconds)
+        with pytest.raises(DomainError, match="N=7"):
+            fit_linear(samples)
+
     def test_exact_line_recovered_bitwise(self):
         fit = fit_linear(line_samples(2.0, 3.0, range(2, 12)))
         assert fit.m == 2.0
@@ -255,9 +305,10 @@ class TestMeasureLoopTime:
 
     @pytest.mark.host_timing
     def test_real_clock_repeatability(self):
-        runner = WallClockRunner(backend="numpy")
+        runner = InterleavedRunner(WallClockRunner(backend="numpy"))
         a = measure_loop_time(corpus()[2], 50, min_loops=1000, runner=runner)
-        b = measure_loop_time(corpus()[2], 50, min_loops=1000, runner=runner)
+        b = measure_loop_time(corpus()[2], 50, min_loops=1000,
+                              runner=ReplayRunner(runner.kept, runner.resolution))
         spread = abs(a.mean_loop_seconds - b.mean_loop_seconds)
         limit = 0.2 * max(a.mean_loop_seconds, b.mean_loop_seconds)
         print(f"repeatability: {a.mean_loop_seconds:.3e} vs "

@@ -8,7 +8,7 @@ import subprocess
 
 import pytest
 
-from multisection import Problem, corpus
+from multisection import Problem, corpus, lambert_w0
 from multisection.cli import main
 
 
@@ -122,6 +122,13 @@ class TestPredict:
         assert extract(r"n_min_integer = (\d+)", out) == "3"
         real = float(extract(r"n_min_real = (\S+)", out))
         assert abs(real - math.e) <= 1e-6
+
+    def test_huge_ratio(self, capsys):
+        # W(R/e) of a ratio above 2.55e305 once failed to converge
+        code, out, _ = run(capsys, "predict", "--ratio", "1e306")
+        assert code == 0
+        real = float(extract(r"n_min_real = (\S+)", out))
+        assert real == 1e306 / lambert_w0(1e306 / math.e)
 
     def test_m_and_c_form(self, capsys):
         code, out, _ = run(capsys, "predict", "--m", "2e-9", "--c", "5e-7")

@@ -1,12 +1,14 @@
 """Lambert W: oracle comparisons, identity residuals, and domain errors."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import multisection.lambert as lambert_module
 from multisection import ConvergenceError, DomainError, check_w_identity, lambert_w0
+from multisection.lambert import _LOG_FORM_FROM
 
 
 def bisection_w_oracle(x: float, lo: float, hi: float, steps: int = 200) -> float:
@@ -116,3 +118,84 @@ class TestDomain:
         monkeypatch.setattr(lambert_module, "_MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError):
             lambert_module.lambert_w0(1e6)
+
+
+def assert_w_identity(x, w):
+    """W(x) * e^W(x) = x read as e^W = x / W, which stays finite up to
+    the largest double.  A W within one ulp of the true value meets it to
+    about ulp(W) relative, since e^W carries W's absolute error."""
+    assert math.isfinite(w) and w > 0.0
+    assert abs(math.exp(w) / (x / w) - 1.0) <= 2.0 * math.ulp(w) + 4.0 * sys.float_info.epsilon
+
+
+class TestLargeArguments:
+    """Up to the largest double: Halley's first step overflows from
+    ``_LOG_FORM_FROM`` up, so W comes from the log form of the identity."""
+
+    def test_first_argument_that_failed(self):
+        # from here up, Halley's method raised ConvergenceError
+        x = 2.552723301784522e305
+        assert_w_identity(x, lambert_w0(x))
+
+    def test_1e306(self):
+        assert_w_identity(1e306, lambert_w0(1e306))
+
+    def test_largest_double(self):
+        x = sys.float_info.max
+        w = lambert_w0(x)
+        assert_w_identity(x, w)
+        assert w > lambert_w0(1e306)
+
+    def test_below_the_old_failure_the_seed_is_no_longer_returned(self):
+        # from 3.7e302 to 2.55e305 Halley's first step made dw = -0.0, so
+        # the log1p seed came back as W, 6.5 too large
+        for x in (_LOG_FORM_FROM, 1e303, 1e305, 2.5527233017845217e305):
+            w = lambert_w0(x)
+            assert_w_identity(x, w)
+            assert w < math.log1p(x) - 6.0
+
+    @given(st.floats(min_value=1e300, max_value=sys.float_info.max))
+    def test_relative_identity(self, x):
+        assert_w_identity(x, lambert_w0(x))
+
+    @given(st.floats(min_value=1e300, max_value=sys.float_info.max),
+           st.floats(min_value=1e300, max_value=sys.float_info.max))
+    def test_monotone(self, a, b):
+        a, b = sorted((a, b))
+        assert lambert_w0(a) <= lambert_w0(b)
+
+    def test_monotone_across_the_switch(self):
+        xs = [_LOG_FORM_FROM]
+        for _ in range(200):
+            xs.insert(0, math.nextafter(xs[0], 0.0))
+            xs.append(math.nextafter(xs[-1], math.inf))
+        ws = [lambert_w0(x) for x in xs]
+        assert all(a <= b for a, b in zip(ws, ws[1:]))
+
+    # W below the switch, bit for bit as Halley's method gave it before
+    # the log form was added, on a log grid up to the last double below it
+    @pytest.mark.parametrize("x,expected", [
+        (0.0, "0x0.0p+0"),
+        (5e-324, "0x0.0000000000001p-1022"),
+        (1e-300, "0x1.56e1fc2f8f359p-997"),
+        (1e-100, "0x1.bff2ee48e0530p-333"),
+        (1e-08, "0x1.5798ede9635e9p-27"),
+        (0.5, "0x1.682ce1cadd300p-2"),
+        (1.0, "0x1.22609af8e9657p-1"),
+        (10.0, "0x1.bedaec5606043p+0"),
+        (1e8, "0x1.f5686bccbfc92p+3"),
+        (1e50, "0x1.b9b31debcb0fep+6"),
+        (1e100, "0x1.c1afaba5e1a96p+7"),
+        (1e200, "0x1.c665e64782231p+8"),
+        (1e300, "0x1.561fa4884a0e5p+9"),
+        (1e302, "0x1.586c3f44d7373p+9"),
+        (3.698426642063639e302, "0x1.59136ab6db522p+9"),
+    ])
+    def test_halley_results_kept_below_the_switch(self, x, expected):
+        assert x < _LOG_FORM_FROM
+        assert lambert_w0(x).hex() == expected
+
+    def test_log_form_convergence_error_when_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(lambert_module, "_MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError):
+            lambert_module.lambert_w0(1e306)

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -273,6 +274,19 @@ class TestEfficiencyReport:
         scale = ProblemScale(width=1.0)
         with pytest.raises(RangeError):
             efficiency_report(cost, scale, n_range=range(3, 11))
+
+    @pytest.mark.parametrize("bad", [3.7, 3.0, True, math.nan])
+    def test_rejects_a_non_integer_section_count(self, bad):
+        cost = CostModel(m=1.0, c=100.0)
+        scale = ProblemScale(width=1.0)
+        with pytest.raises(DomainError, match="n_range values must be integers"):
+            efficiency_report(cost, scale, n_range=[2, bad])
+
+    def test_accepts_numpy_integers(self):
+        cost = CostModel(m=1.0, c=100.0)
+        scale = ProblemScale(width=1.0)
+        report = efficiency_report(cost, scale, n_range=np.arange(2, 6))
+        assert report == efficiency_report(cost, scale, n_range=range(2, 6))
 
     def test_rejects_sections_below_two(self):
         cost = CostModel(m=1.0, c=100.0)

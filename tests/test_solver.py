@@ -1,7 +1,9 @@
 """Solver semantics: types, single steps, full solves, and invariants."""
 
+import dataclasses
 import gc
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -810,3 +812,169 @@ class TestHugeBrackets:
             else:
                 assert (result.termination, result.iterations) == \
                     (Termination.WIDTH_REACHED, count)
+
+
+def int_index_nodes(lo, hi, sections):
+    """One pass's nodes with the int index j, as the formula reads."""
+    span = hi - lo
+    return [lo + (j * span) / sections for j in range(1, sections)]
+
+
+def pass_brackets(result):
+    """Each pass's bracket: the solve's, then the pair each pass chose."""
+    steps = result.steps
+    return zip([steps.bracket.lo, *steps.chosen_lo], [steps.bracket.hi, *steps.chosen_hi])
+
+
+class TestFloatNodeIndex:
+    """The list and per-node passes index their nodes with floats; every
+    node keeps the bits of the int-index formula."""
+
+    def assert_int_index_nodes(self, result, sections):
+        assert result.iterations == len(result.steps.nodes_x) > 0
+        for xs, (lo, hi) in zip(result.steps.nodes_x, pass_brackets(result)):
+            assert type(xs) is list
+            assert ([x.hex() for x in xs]
+                    == [x.hex() for x in int_index_nodes(lo, hi, sections)])
+
+    @given(
+        lo=st.builds(math.copysign, magnitudes(-1075), st.sampled_from([1.0, -1.0])),
+        width=st.one_of(magnitudes(-1073), magnitudes(1000)),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        sections=st.integers(min_value=2, max_value=LIST_PASS_MAX_SECTIONS),
+    )
+    def test_list_pass(self, lo, width, frac, sections):
+        hi = min(lo + width, 1.7e308)
+        if not (lo < hi and math.isfinite((sections - 1) * (hi - lo))):
+            return  # no bracket, or one whose nodes overflow
+        root = min(max(lo + frac * (hi - lo), lo), hi)
+        problem = Problem(id="hyp-nodes", f=lambda x: x - root, bracket=Interval(lo, hi))
+        result = solve(problem, SolveOptions(sections=sections))
+        if result.iterations:
+            self.assert_int_index_nodes(result, sections)
+
+    # each example at N = 4096 makes a few thousand Python calls of f
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ends=st.lists(st.floats(min_value=-1e304, max_value=1e304),
+                      min_size=2, max_size=2, unique=True).map(sorted),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        sections=st.sampled_from([2, LIST_PASS_MAX_SECTIONS, 13, 50, 4096]),
+    )
+    def test_per_node_pass(self, ends, frac, sections):
+        lo, hi = ends
+        if lo == hi:
+            return  # -0.0 and 0.0
+        root = min(max(lo + frac * (hi - lo), lo), hi)
+        f = ScalarOnly(lambda x: x - root)
+        problem = Problem(id="hyp-nodes-scalar", f=f, bracket=Interval(lo, hi))
+        result = solve(problem, SolveOptions(sections=sections, max_iterations=6))
+        if result.iterations:
+            assert f.rejected == 1
+            self.assert_int_index_nodes(result, sections)
+
+
+def division_recount(width, tolerance, sections):
+    """The divisions ``w /= N`` from ``width`` to ``tolerance``, counted
+    afresh on every call."""
+    count = 0
+    while width > tolerance:
+        width /= sections
+        count += 1
+    return count
+
+
+class TestMemoisedBudget:
+    """The division count is memoised; every read equals a fresh count."""
+
+    @given(
+        lo=st.one_of(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                     st.floats(min_value=-1e300, max_value=1e300)),
+        width=st.one_of(st.integers(min_value=1, max_value=10 ** 6), magnitudes(-1000)),
+        tolerance=st.one_of(st.just(MU), magnitudes(-1074)),
+        sections=st.integers(min_value=2, max_value=10 ** 6),
+        cap=st.one_of(st.none(), st.integers(min_value=0, max_value=80)),
+    )
+    def test_budget_equals_a_fresh_count(self, lo, width, tolerance, sections, cap):
+        hi = lo + width
+        if not (lo < hi and math.isfinite(hi - lo)) or tolerance == 0.0:
+            return
+        bracket = Interval(lo, hi)
+        options = SolveOptions(sections=sections, width_tolerance=tolerance,
+                               max_iterations=cap)
+        count = division_recount(hi - lo, tolerance, sections)
+        expected = ((count, Termination.WIDTH_REACHED) if cap is None or count <= cap
+                    else (cap, Termination.MAX_ITERATIONS))
+        for _ in range(2):  # the second read comes from the cache
+            assert predicted_max_iterations(bracket, tolerance, sections) == count
+            assert solver._budget(bracket, options) == expected
+
+    @pytest.mark.parametrize("sections", [2, 3, 7])
+    def test_int_and_float_endpoints_share_a_key(self, sections):
+        # Interval(0, 3) has the int width 3, which hashes and compares
+        # equal to 3.0: both brackets read one cached count, and it is
+        # each one's own count
+        for bracket in (Interval(0.0, 3.0), Interval(0, 3), Interval(0.0, 3.0)):
+            count = division_recount(bracket.width, MU, sections)
+            assert predicted_max_iterations(bracket, MU, sections) == count
+            assert solver._budget(bracket, SolveOptions(sections=sections)) == \
+                (count, Termination.WIDTH_REACHED)
+            result = solve(Problem("int-ends", lambda x: x - 1.0, bracket),
+                           SolveOptions(sections=sections))
+            assert result.iterations <= count
+
+
+class TestSolveResultInit:
+    """``SolveResult`` sets its fields in one call, and is still the
+    frozen dataclass it was."""
+
+    def make(self):
+        return solve(corpus()[0], SolveOptions(sections=3))
+
+    def test_fields_and_defaults(self):
+        assert [f.name for f in dataclasses.fields(SolveResult)] == [
+            "root", "residual", "iterations", "function_evaluations",
+            "termination", "steps"]
+        result = SolveResult(1.0, 0.0, 0, 2, Termination.EXACT_ZERO)
+        assert result.steps is None
+        assert result == SolveResult(root=1.0, residual=0.0, iterations=0,
+                                     function_evaluations=2,
+                                     termination=Termination.EXACT_ZERO, steps=None)
+
+    def test_repr_leaves_out_the_steps(self):
+        result = self.make()
+        assert repr(result) == (
+            f"SolveResult(root={result.root!r}, residual={result.residual!r}, "
+            f"iterations={result.iterations!r}, "
+            f"function_evaluations={result.function_evaluations!r}, "
+            f"termination={result.termination!r})")
+
+    def test_frozen(self):
+        result = self.make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.root = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del result.iterations
+
+    def test_replace(self):
+        result = self.make()
+        changed = dataclasses.replace(result, iterations=1)
+        assert changed.iterations == 1 and changed.steps is result.steps
+        assert changed != result
+        assert dataclasses.replace(result) == result
+
+    def test_equality_and_hash(self):
+        a, b = self.make(), self.make()
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(a, root=0.0)
+        assert hash(a) == hash((a.root, a.residual, a.iterations,
+                                a.function_evaluations, a.termination))
+
+    def test_pickle_round_trip(self):
+        result = self.make()
+        for read_trace in (False, True):
+            if read_trace:
+                result.trace
+            back = pickle.loads(pickle.dumps(result))
+            assert back == result and hash(back) == hash(result)
+            assert back.trace == result.trace
