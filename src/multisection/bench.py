@@ -1,19 +1,18 @@
 """Host calibration: measure per-loop solve cost as a function of N.
 
-The measurement protocol times *whole solves* and divides by the total
-number of loop iterations executed, rather than reading the clock inside
-the loop — per-loop clock reads would perturb exactly the quantity being
-measured.  Each sample accumulates at least ``min_loops`` iterations
-(default 1000), split over ten internally timed batches whose spread
-gives the recorded dispersion and whose fastest half gives the mean; a
-warmup block is run first and discarded to absorb cache and frequency
-ramp.  A sweep over several N interleaves them: the warmups at every N,
-then ten rounds in which each N runs one batch, each round in its own
-seeded shuffled order, so a drift in the host's speed spreads over all N
-instead of tilting the fitted slope.  ``residual_tolerance`` is forced to
-0 so every solve runs its full iteration count and every loop performs
-exactly N - 1 evaluations, keeping loop cost homogeneous with the
-``t = m*N + c`` model being fitted.
+The package has one timing protocol.  It times *whole solves* and
+divides by the work done — per-loop clock reads would perturb exactly
+the quantity being measured — in ten rounds, each running one batch per
+item measured in its own seeded shuffled order, so a drift in the
+host's speed spreads over all items instead of tilting their
+comparison; an item's mean keeps the fastest half of its ten batches.
+:func:`sweep` times loops at each N with ``runner.timed_loops``, after a
+discarded warmup block (cache and frequency ramp), for at least
+``min_loops`` iterations per N; ``residual_tolerance`` is forced to 0 so
+every loop performs exactly N - 1 evaluations, as ``t = m*N + c``
+assumes.  :func:`calibrate` times whole solves at N = 2 and N_min with
+``runner.timed_solves``: ``timed_loops`` is kept for the sweep's work,
+which its config fixes, while N_min moves with the host's noise.
 
 The clock is injectable: :class:`WallClockRunner` is the real thing;
 :class:`SyntheticRunner` implements ``t = m*N + c`` exactly against a
@@ -229,6 +228,20 @@ class SyntheticRunner:
         return count * per_solve * t_loop
 
 
+def _timed_rounds(measure, items) -> tuple[list[float], list[list[tuple[int, float]]]]:
+    """The one timing protocol: round k runs ``measure(item, k)`` -> (work,
+    seconds) once per item, in the order ``random.Random(k)`` shuffles
+    them to.  Returns each item's fastest-half mean and its batches."""
+    batches: list[list[tuple[int, float]]] = [[] for _ in items]
+    for round_index in range(_N_BATCHES):
+        visits = list(zip(items, batches))
+        random.Random(round_index).shuffle(visits)
+        for item, timed in visits:
+            timed.append(measure(item, round_index))
+    kept = [sorted(timed, key=lambda t: t[1] / t[0])[:_KEPT_BATCHES] for timed in batches]
+    return [sum(sec for _, sec in k) / sum(work for work, _ in k) for k in kept], batches
+
+
 def measure_loop_time(
     problem: Problem,
     N: int,
@@ -259,11 +272,12 @@ def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[Timi
     for what one sample holds), sorted by N; duplicate N values are
     measured once.
 
-    The N are measured interleaved: the warmup at every N first, then ten
-    rounds in which each N runs one batch.  Round k visits the N in the
-    order ``random.Random(k)`` shuffles them to.  A step in the host's
-    speed partway through then lands on every N alike instead of on the
-    N measured after it, which would tilt the fitted slope (and with a
+    The N are measured interleaved, by the module's one protocol with
+    ``runner.timed_loops``: the warmup at every N first, then ten rounds
+    in which each N runs one batch.  Round k visits the N in the order
+    ``random.Random(k)`` shuffles them to.  A step in the host's speed
+    partway through then lands on every N alike instead of on the N
+    measured after it, which would tilt the fitted slope (and with a
     per-node cost this small, flip its sign); the shuffle keeps a slow
     stretch of a round from falling on the same N in every round.
     """
@@ -276,27 +290,21 @@ def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[Timi
             runner.timed_loops(config.problem, opts, config.warmup_loops)
 
     batch_target = -(-config.min_loops // _N_BATCHES)
-    batches: list[list[tuple[int, float]]] = [[] for _ in ns]
-    for round_index in range(_N_BATCHES):
-        visits = list(zip(options, batches))
-        random.Random(round_index).shuffle(visits)
-        for opts, timed in visits:
-            timed.append(runner.timed_loops(config.problem, opts, batch_target))
+    means, batches = _timed_rounds(lambda opts, _: runner.timed_loops(
+        config.problem, opts, batch_target), options)
 
     samples = []
-    for n, timed in zip(ns, batches):
+    for n, mean, timed in zip(ns, means, batches):
         total_elapsed = sum(elapsed for _, elapsed in timed)
         if runner.resolution > 0.01 * total_elapsed:
             raise ClockError(
                 f"clock resolution {runner.resolution}s exceeds 1% of the "
                 f"measured span {total_elapsed}s; increase min_loops"
             )
-        kept = sorted(timed, key=lambda t: t[1] / t[0])[:_KEPT_BATCHES]
         batch_means = [elapsed / loops for loops, elapsed in timed]
         samples.append(TimingSample(
             N=n,
-            mean_loop_seconds=(sum(elapsed for _, elapsed in kept)
-                               / sum(loops for loops, _ in kept)),
+            mean_loop_seconds=mean,
             stddev_loop_seconds=statistics.stdev(batch_means),
             loop_count=sum(loops for loops, _ in timed),
         ))
@@ -351,17 +359,23 @@ def fit_linear(samples: Sequence[TimingSample]) -> LinearFit:
     return LinearFit(m=float(m), c=float(c), r_squared=float(r_squared))
 
 
-def per_solve_seconds(
-    problem: Problem, N: int, runner: LoopRunner
-) -> float:
-    """Mean wall time of one full solve at N, amortized over enough
-    repeats to accumulate roughly a thousand loops."""
-    options = SolveOptions(sections=N)
-    per_solve = predicted_max_iterations(
-        problem.bracket, options.width_tolerance, N
-    )
-    repeats = max(3, -(-1000 // max(per_solve, 1)))
-    return runner.timed_solves(problem, options, repeats) / repeats
+def _solve_seconds(problem: Problem, ns: Sequence[int], runner: LoopRunner) -> list[float]:
+    """Mean wall time of one full solve at each N of ``ns``, by :func:`_timed_rounds`
+    with ``runner.timed_solves``: a thousand loops' solves per N, one a batch at least."""
+    def batch(n, round_index):
+        options = SolveOptions(sections=n)
+        per_solve = predicted_max_iterations(problem.bracket, options.width_tolerance, n)
+        solves = max(_N_BATCHES, -(-1000 // max(per_solve, 1)))
+        count = solves // _N_BATCHES + (round_index < solves % _N_BATCHES)
+        return count, runner.timed_solves(problem, options, count)
+
+    return _timed_rounds(batch, ns)[0]
+
+
+def per_solve_seconds(problem: Problem, N: int, runner: LoopRunner) -> float:
+    """Mean wall time of one full solve at N: calibrate's measurement
+    for ``measured_ratio`` (:func:`_solve_seconds`) at one N."""
+    return _solve_seconds(problem, (N,), runner)[0]
 
 
 def calibrate(
@@ -376,7 +390,8 @@ def calibrate(
     solves at N=2 and at the fitted n_min_integer is measured and their
     ratio recorded beside the predicted rel_eff — prediction and
     measurement come from the same host minutes apart, which is the only
-    comparison that transfers across machines.  When the fit is unusable,
+    comparison that transfers across machines (both timed by the sweep's
+    protocol, with ``runner.timed_solves``).  When the fit is unusable,
     the :class:`FitError` carries the sweep's samples.
     """
     if runner is None:
@@ -392,8 +407,7 @@ def calibrate(
         n_range=range(2, max(config.n_values) + 1),
     )
 
-    t_2 = per_solve_seconds(problem, 2, runner)
-    t_min = per_solve_seconds(problem, report.n_min_integer, runner)
+    t_2, t_min = _solve_seconds(problem, (2, report.n_min_integer), runner)
     return CalibrationResult(
         report=report,
         fit=fit,

@@ -32,7 +32,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import BoundViolation, DomainError
-from .solver import Problem, SolveOptions, _division_count, check_integer, solve
+from .solver import Problem, SolveOptions, _division_count, check_integer, solve, widths
 
 __all__ = [
     "BoundSequence",
@@ -62,16 +62,6 @@ REFERENCE_FLUSH_TO_ZERO_Z = 1024
 #: bound once B_i approaches the grid spacing; 4 ulp covers that while
 #: remaining far below any real solver defect.
 QUANTIZATION_ALLOWANCE_ULPS = 4.0
-
-
-def widths(width: float, sections: int) -> Iterator[float]:
-    """Yield width, width/N, width/N/N, ... by repeated binary64 division
-    (0.0 forever once it underflows): the bound sequence behind
-    :class:`BoundSequence`, :func:`bound_at` and :func:`underflow_exponent`."""
-    w = width
-    while True:
-        yield w
-        w /= sections
 
 
 @dataclass(frozen=True)

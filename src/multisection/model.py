@@ -57,6 +57,17 @@ __all__ = [
 #: told otherwise.
 DEFAULT_N_VALUES = tuple(range(2, 251))
 
+#: Below this R, N_min is taken as e + R.  The series' next term,
+#: -R²/(2e), is then under a tenth of an ulp of e, while R / W(R/e)
+#: rounds to within a few ulp of e either side, which would put N_min
+#: below its limit e and let it fall as R grows.
+_SERIES_BELOW = 1e-8
+
+#: From this R up, RelEff is computed with R divided out of its terms:
+#: R * ln(N_min) overflows from about 2.58e305, and ln N_min < 710 for
+#: every double, so below this bound the direct form stays finite.
+_DIVIDED_FROM = sys.float_info.max / 1024
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -75,6 +86,8 @@ class CostModel:
             raise DomainError(f"m must be > 0, got {self.m}")
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"c must be > 0, got {self.c}")
+        if math.isinf(self.ratio):
+            raise DomainError(f"c/m must be finite, got c={self.c}, m={self.m}")
 
     @property
     def ratio(self) -> float:
@@ -135,6 +148,21 @@ def _check_n(N) -> None:
                           f"got an integer of {int(N).bit_length()} bits")
 
 
+def _check_ratio(R) -> None:
+    """Raise :class:`DomainError` unless R is a finite double at least the
+    smallest normal one: below it R/e loses bits to underflow, and
+    c/m that small is no measurement."""
+    if not sys.float_info.min <= R < math.inf:
+        raise DomainError(f"R must be finite and >= {sys.float_info.min!r}, "
+                          f"got {R}")
+
+
+def _time_ratio(N: float, R: float) -> float:
+    """T_t(N) / T_t(2) for R = c/m, with R divided out of both loop costs
+    so that no term overflows for any finite R."""
+    return (math.log(2.0) / (2.0 / R + 1.0)) * ((N / R + 1.0) / math.log(N))
+
+
 def total_function_evals(N: int, scale: ProblemScale) -> float:
     """T_f(N) = (N-1) * ln(width/mu) / ln N, the evaluation count."""
     _check_n(N)
@@ -150,10 +178,12 @@ def total_time(N: int, cost: CostModel, scale: ProblemScale) -> float:
 def n_min_real(R: float) -> float:
     """The real minimizer of T_t:  N_min = R / W(R/e).
 
-    Tends to e as R -> 0+ and grows monotonically with R.
+    Tends to e as R -> 0+ and grows monotonically with R.  R must be a
+    finite double at least ``sys.float_info.min`` (:class:`DomainError`).
     """
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"R must be > 0, got {R}")
+    _check_ratio(R)
+    if R < _SERIES_BELOW:
+        return math.e + R
     return R / lambert_w0(R / math.e)
 
 
@@ -180,11 +210,12 @@ def n_min_integer(R: float, cost: CostModel, scale: ProblemScale) -> int:
 def rel_eff(R: float) -> float:
     """RelEff = (R ln2/(2+R)) * ((N_min + R)/(R ln N_min)), N_min real.
 
-    Depends on R only; c, m, width, and mu all cancel.
+    Depends on R only; c, m, width, and mu all cancel.  R is checked as
+    in :func:`n_min_real`.
     """
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"R must be > 0, got {R}")
     n = n_min_real(R)
+    if R >= _DIVIDED_FROM:
+        return _time_ratio(n, R)
     return (R * math.log(2.0) / (2.0 + R)) * ((n + R) / (R * math.log(n)))
 
 
@@ -222,7 +253,8 @@ def efficiency_report(
         n_min_real=real,
         n_min_integer=integer,
         rel_eff=rel_eff(R),
-        rel_eff_integer=tmin / t2,
+        # T_t(2) overflows when m*2 + c, or its product with the depth, does
+        rel_eff_integer=tmin / t2 if t2 < math.inf else _time_ratio(integer, R),
         t_t_at_2=t2,
         t_t_at_min=tmin,
         curve=curve,

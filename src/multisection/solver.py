@@ -62,7 +62,7 @@ import logging
 import math
 import numbers
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -547,19 +547,26 @@ def multisect_step(
     return _record(index, interval, xs, fs, lo, hi, exact)
 
 
+def widths(width: float, sections: int) -> Iterator[float]:
+    """Yield width, width/N, width/N/N, ... by repeated binary64 division
+    (0.0 forever once it underflows): the one width-division loop, behind
+    every solve's pass budget and every bound-sequence value.  Dividing
+    by ``float(N)`` gives the bits of dividing by the int."""
+    n = float(sections)
+    while True:
+        yield width
+        width /= n
+
+
 @lru_cache
 def _division_count(width: float, tolerance: float, sections: int) -> int:
-    """How many binary64 divisions ``w /= N``, from ``w = width``, take
-    ``w`` to ``tolerance`` or below: the one count behind every solve's
-    pass budget and every bound-sequence index.  Memoised: keys that
-    compare equal (3 and 3.0) divide to the same bits, so they share a
-    count."""
-    n = float(sections)  # the same bits as dividing by the int
-    count = 0
-    while width > tolerance:
-        width /= n
-        count += 1
-    return count
+    """How many divisions :func:`widths` takes from ``width`` to
+    ``tolerance`` or below: the index of its first term not above the
+    tolerance.  Memoised: keys that compare equal (3 and 3.0) divide to
+    the same bits, so they share a count."""
+    for count, w in enumerate(widths(width, sections)):
+        if not w > tolerance:
+            return count
 
 
 def predicted_max_iterations(
