@@ -228,16 +228,24 @@ class SyntheticRunner:
         return count * per_solve * t_loop
 
 
-def _timed_rounds(measure, items) -> tuple[list[float], list[list[tuple[int, float]]]]:
+def _timed_rounds(measure, items,
+                  resolution: float) -> tuple[list[float], list[list[tuple[int, float]]]]:
     """The one timing protocol: round k runs ``measure(item, k)`` -> (work,
     seconds) once per item, in the order ``random.Random(k)`` shuffles
-    them to.  Returns each item's fastest-half mean and its batches."""
+    them to.  Returns each item's fastest-half mean and its batches.
+    Raises :class:`ClockError` when the clock's ``resolution`` exceeds 1%
+    of an item's measured span, the seconds of its ten batches."""
     batches: list[list[tuple[int, float]]] = [[] for _ in items]
     for round_index in range(_N_BATCHES):
         visits = list(zip(items, batches))
         random.Random(round_index).shuffle(visits)
         for item, timed in visits:
             timed.append(measure(item, round_index))
+    for timed in batches:
+        span = sum(sec for _, sec in timed)
+        if resolution > 0.01 * span:
+            raise ClockError(f"clock resolution {resolution}s exceeds 1% of the "
+                             f"measured span {span}s")
     kept = [sorted(timed, key=lambda t: t[1] / t[0])[:_KEPT_BATCHES] for timed in batches]
     return [sum(sec for _, sec in k) / sum(work for work, _ in k) for k in kept], batches
 
@@ -291,16 +299,10 @@ def sweep(config: SweepConfig, runner: Optional[LoopRunner] = None) -> list[Timi
 
     batch_target = -(-config.min_loops // _N_BATCHES)
     means, batches = _timed_rounds(lambda opts, _: runner.timed_loops(
-        config.problem, opts, batch_target), options)
+        config.problem, opts, batch_target), options, runner.resolution)
 
     samples = []
     for n, mean, timed in zip(ns, means, batches):
-        total_elapsed = sum(elapsed for _, elapsed in timed)
-        if runner.resolution > 0.01 * total_elapsed:
-            raise ClockError(
-                f"clock resolution {runner.resolution}s exceeds 1% of the "
-                f"measured span {total_elapsed}s; increase min_loops"
-            )
         batch_means = [elapsed / loops for loops, elapsed in timed]
         samples.append(TimingSample(
             N=n,
@@ -369,12 +371,14 @@ def _solve_seconds(problem: Problem, ns: Sequence[int], runner: LoopRunner) -> l
         count = solves // _N_BATCHES + (round_index < solves % _N_BATCHES)
         return count, runner.timed_solves(problem, options, count)
 
-    return _timed_rounds(batch, ns)[0]
+    return _timed_rounds(batch, ns, runner.resolution)[0]
 
 
 def per_solve_seconds(problem: Problem, N: int, runner: LoopRunner) -> float:
     """Mean wall time of one full solve at N: calibrate's measurement
-    for ``measured_ratio`` (:func:`_solve_seconds`) at one N."""
+    for ``measured_ratio`` (:func:`_solve_seconds`) at one N.  Raises
+    :class:`ClockError` by the sweep's rule: when the clock's resolution
+    exceeds 1% of the measured span."""
     return _solve_seconds(problem, (N,), runner)[0]
 
 

@@ -1,17 +1,20 @@
 """Evaluation backends for the solver.
 
-Two engines produce :class:`~multisection.solver.SolveResult` objects:
+A backend runs only a solve's passes.  Everything around them (the
+endpoint checks, the pass budget, the probe of f at the root when every
+pass ran and the :class:`~multisection.solver.SolveResult`) comes from
+one driver, :func:`multisection.solver._solve`, whichever backend ran.
+Two engines supply the passes:
 
-* ``"numpy"`` — the reference loop in :mod:`multisection.solver`, which
-  evaluates each iteration's nodes with one vectorized call.
+* ``"numpy"`` — :func:`multisection.solver._multisect`, which evaluates
+  each iteration's nodes with one vectorized call.
 * ``"numba"`` — a compiled kernel built per target function by closing a
-  nopython loop over the jitted callable.  It keeps the reference loop's
-  node arithmetic, pass budget and departure rule: every
-  chosen left end keeps the sign ``s`` of f at the bracket's left end,
-  so the chosen subinterval ends at the first node with ``s*f(x) <= 0``,
-  else at hi.  It fills the arrays the solver builds every backend's
-  trace from, so results agree with the numpy path apart from last-ulp
-  libm differences in f itself.
+  nopython loop over the jitted callable.  It keeps the numpy passes'
+  node arithmetic and departure rule: every chosen left end keeps the
+  sign ``s`` of f at the bracket's left end, so the chosen subinterval
+  ends at the first node with ``s*f(x) <= 0``, else at hi.  It fills the
+  arrays the solver builds every backend's trace from, so results agree
+  with the numpy path apart from last-ulp libm differences in f itself.
 
 Selection order: an explicit ``backend=`` argument, then the
 MULTISECTION_BACKEND environment variable, then auto-detection (numba if
@@ -34,15 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .solver import (
-    Problem,
-    SolveOptions,
-    SolveResult,
-    Steps,
-    Termination,
-    _budget,
-    _validate_endpoints,
-)
+from .solver import Problem, SolveOptions, SolveResult, Termination, _solve
 
 logger = logging.getLogger(__name__)
 
@@ -52,11 +47,11 @@ BACKEND_ENV = "MULTISECTION_BACKEND"
 VALID_BACKENDS = ("numba", "numpy")
 
 # Kernel exit codes: every pass of the budget ran, an exact zero, the
-# residual stop (these three index the solve's terminations, the first
-# being the budget's own stop), a NaN node.
+# residual stop (these three index the passes' stops), a NaN node.
 _BUDGET, _EXACT, _RESIDUAL, _NAN = range(4)
+_STOPS = (None, Termination.EXACT_ZERO, Termination.RESIDUAL_REACHED)
 
-# f -> (jitted f, its kernel), or None when numba is missing or cannot
+# f -> (jitted f, its passes), or None when numba is missing or cannot
 # jit f; a compile that fails on the first call replaces the pair by None.
 _compiled: dict = {}
 
@@ -104,31 +99,29 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 
 
 def _make_kernel(nb, fj):
-    """Build the nopython solve loop closed over the jitted function.
+    """The numba backend's passes: a function with
+    :func:`~multisection.solver._multisect`'s signature and return that
+    allocates one row per budgeted pass and runs a nopython loop closed
+    over the jitted function.  The endpoints, the budget, the probe and
+    the result come from :func:`~multisection.solver._solve`.
 
-    The loop runs at most ``limit`` passes, the solve's pass budget fixed
-    before the call, and tracks no width.  In each pass one loop over the
-    nodes evaluates each, exits on NaN and marks the first node that
-    departs from ``s``, the sign of f at the bracket's left end
-    (``s*f(x) <= 0``); with none, the subinterval ends at hi, which
-    always departs: the bracket's ends have opposite signs, and each
-    chosen hi departs.
-    The point before the departing one keeps ``s``, so only the departing
-    point can be an exact zero: ``f_lo`` is never 0 here, because an
-    endpoint zero ends the solve before the kernel runs.  The closure over
-    a dispatcher rules out numba's on-disk cache, so each (function,
-    process) pair pays one compile; the pair is memoized in
-    ``_compiled``.
+    The loop calls f only at nodes.  In each pass one loop over the nodes
+    evaluates each, exits on NaN and marks the first node that departs
+    from ``s``, the sign of f at the bracket's left end (``s*f(x) <= 0``);
+    with none, the subinterval ends at hi, which always departs: the
+    bracket's ends have opposite signs, and each chosen hi departs.  The
+    point before the departing one keeps ``s``, so only the departing node
+    can be an exact zero, which ends the solve (``f_lo`` is never 0: an
+    endpoint zero ends the solve before any pass).  The closure over a
+    dispatcher rules out numba's on-disk cache, so each (function,
+    process) pair pays one compile; the pair is memoized in ``_compiled``.
     """
 
     @nb.njit(cache=False)
-    def kernel(lo, hi, f_lo, f_hi, sections, rtol, limit,
+    def kernel(lo, hi, f_lo, sections, rtol, limit,
                nodes_x, nodes_f, chosen_lo, chosen_hi):
-        s = 1.0
-        if f_lo < 0.0:
-            s = -1.0
-        it = 0
-        while it < limit:
+        s = -1.0 if f_lo < 0.0 else 1.0
+        for it in range(limit):
             span = hi - lo
             k = sections - 1  # hi, unless a node departs first
             for j in range(1, sections):
@@ -142,32 +135,35 @@ def _make_kernel(nb, fj):
                     k = j - 1
             if k < sections - 1:
                 hi = nodes_x[it, k]
-                f_hi = nodes_f[it, k]
             if k > 0:
                 lo = nodes_x[it, k - 1]
             chosen_lo[it] = lo
             chosen_hi[it] = hi
-            it += 1
-
-            if f_hi == 0.0:
-                return _EXACT, hi, 0.0, it
+            if k < sections - 1 and nodes_f[it, k] == 0.0:
+                return _EXACT, hi, 0.0, it + 1
             if rtol > 0.0:
                 best = 0
                 for j in range(1, sections - 1):
-                    if abs(nodes_f[it - 1, j]) < abs(nodes_f[it - 1, best]):
+                    if abs(nodes_f[it, j]) < abs(nodes_f[it, best]):
                         best = j
-                if abs(nodes_f[it - 1, best]) <= rtol:
-                    return (_RESIDUAL, nodes_x[it - 1, best],
-                            nodes_f[it - 1, best], it)
+                if abs(nodes_f[it, best]) <= rtol:
+                    return _RESIDUAL, nodes_x[it, best], nodes_f[it, best], it + 1
+        return _BUDGET, lo + (hi - lo) / 2.0, 0.0, limit
 
-        root = lo + (hi - lo) / 2.0
-        return _BUDGET, root, fj(root), it
+    def passes(f, sections, f_lo, lo, hi, limit, rtol):
+        shape = (limit, sections - 1)  # a row per pass the budget allows, and no more
+        steps = (np.empty(shape), np.empty(shape), np.empty(limit), np.empty(limit))
+        term, root, residual, iterations = kernel(lo, hi, f_lo, sections, rtol, limit, *steps)
+        if term == _NAN:
+            raise EvaluationError(f"f({root}) is NaN")
+        return (_STOPS[term], float(root), float(residual),
+                [rows[:iterations] for rows in steps])
 
-    return kernel
+    return passes
 
 
 def _compile(f):
-    """The jitted f and its kernel, or None; see ``_compiled``."""
+    """The jitted f and its passes, or None; see ``_compiled``."""
     if f not in _compiled:
         nb = _get_numba()
         try:
@@ -181,45 +177,17 @@ def _compile(f):
 def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult]:
     """Solve on the numba backend; None when f cannot be compiled.
 
-    Endpoint values are computed with the jitted function too, so the
-    whole run sees one evaluation engine."""
+    The endpoints and the probe are evaluated with the jitted function
+    too, so the whole run sees one evaluation engine.  numba compiles on
+    a function's first call, so a failed compile can surface at the first
+    endpoint or at the kernel's first call; either falls back."""
     compiled = _compile(problem.f)
     if compiled is None:
         return None
-    fj, kernel = compiled
-
-    sections = options.sections
+    fj, passes = compiled
     try:
-        f_lo, f_hi, done = _validate_endpoints(fj, problem.bracket)
-        if done is not None:
-            return done
-
-        # one row per pass the budget allows, and no more
-        limit, stop = _budget(problem.bracket, options)
-        nodes_x = np.empty((limit, sections - 1), dtype=np.float64)
-        nodes_f = np.empty((limit, sections - 1), dtype=np.float64)
-        chosen_lo = np.empty(limit, dtype=np.float64)
-        chosen_hi = np.empty(limit, dtype=np.float64)
-        term, root, residual, iterations = kernel(
-            problem.bracket.lo, problem.bracket.hi, f_lo, f_hi, sections,
-            options.residual_tolerance, limit,
-            nodes_x, nodes_f, chosen_lo, chosen_hi,
-        )
+        return _solve(fj, passes, problem.bracket, options)
     except _get_numba().core.errors.NumbaError:
         logger.warning("numba compile failed for %r; falling back", problem.id)
         _compiled[problem.f] = None
         return None
-
-    if term == _NAN:
-        raise EvaluationError(f"f({root}) is NaN")
-
-    iterations = int(iterations)
-    return SolveResult(
-        root=float(root),
-        residual=float(residual),
-        iterations=iterations,
-        function_evaluations=2 + (sections - 1) * iterations,
-        termination=(stop, Termination.EXACT_ZERO, Termination.RESIDUAL_REACHED)[term],
-        steps=Steps(problem.bracket, nodes_x[:iterations], nodes_f[:iterations],
-                    chosen_lo[:iterations], chosen_hi[:iterations]),
-    )

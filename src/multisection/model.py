@@ -191,6 +191,7 @@ def n_min_integer(R: float, cost: CostModel, scale: ProblemScale) -> int:
     """Integer section count: argmin of T_t over the two neighbors of N_min.
 
     Both candidates are clamped to >= 2; ties break toward the smaller N.
+    Where T_t overflows at either, they compare by T_t(N)/T_t(2).
     ``R`` must equal ``cost.ratio`` — it is passed separately only so the
     dimensionless and dimensional views stay visibly consistent.
     """
@@ -203,8 +204,10 @@ def n_min_integer(R: float, cost: CostModel, scale: ProblemScale) -> int:
     hi = max(2, math.ceil(real))
     if hi == lo:
         return lo
-    # strict comparison: on a tie the smaller N wins
-    return lo if total_time(lo, cost, scale) <= total_time(hi, cost, scale) else hi
+    t_lo, t_hi = total_time(lo, cost, scale), total_time(hi, cost, scale)
+    if math.isinf(t_lo) or math.isinf(t_hi):  # compare with R divided out
+        t_lo, t_hi = _time_ratio(lo, R), _time_ratio(hi, R)
+    return lo if t_lo <= t_hi else hi  # on a tie the smaller N wins
 
 
 def rel_eff(R: float) -> float:

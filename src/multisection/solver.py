@@ -23,6 +23,11 @@ one budget, and only an exact zero or the residual stop ends a solve
 early.  The count is memoised per (width, tolerance, N), so back-to-back
 solves of one bracket count it once.
 
+One driver, :func:`_solve`, does for every backend what surrounds the
+passes: the endpoint checks, the pass budget, the probe of f at the root
+and the :class:`SolveResult`.  A backend supplies only its passes, with
+:func:`_multisect`'s signature and return.
+
 A node value that is exactly zero terminates immediately.  The zero node
 is reported as the root and recorded as the right endpoint of the chosen
 subinterval (sign 0 differs from the nonzero sign to its left), so every
@@ -332,35 +337,21 @@ def _same_steps(a: Optional[Steps], b: Optional[Steps]) -> bool:
     )
 
 
-def _validate_endpoints(
-    f: Callable[[float], float], bracket: Interval
-) -> tuple[float, float, Optional[SolveResult]]:
-    """Evaluate f at the bracket endpoints once, validating as we go.
-
-    Returns f at both ends, and the finished zero-iteration result when
-    one end is an exact zero (else None).
-    """
+def _validate_endpoints(f: Callable[[float], float], bracket: Interval) -> tuple[float, float]:
+    """Evaluate f at the bracket endpoints once, validating as we go, and
+    return both values."""
     lo, hi = bracket.lo, bracket.hi
     f_lo = float(f(lo))
     f_hi = float(f(hi))
     if math.isnan(f_lo) or math.isnan(f_hi):
         bad = lo if math.isnan(f_lo) else hi
         raise EvaluationError(f"f({bad}) is NaN")
-    s_lo, s_hi = sign(f_lo), sign(f_hi)
-    if s_lo == s_hi:
+    if sign(f_lo) == sign(f_hi):
         raise BracketError(
             f"f does not change sign over [{lo}, {hi}]: "
             f"f(lo)={f_lo}, f(hi)={f_hi}"
         )
-    if s_lo != 0 and s_hi != 0:
-        return f_lo, f_hi, None
-    return f_lo, f_hi, SolveResult(
-        root=lo if s_lo == 0 else hi,
-        residual=0.0,
-        iterations=0,
-        function_evaluations=2,
-        termination=Termination.EXACT_ZERO,
-    )
+    return f_lo, f_hi
 
 
 def validate_bracket(problem: Problem) -> tuple[int, int]:
@@ -371,7 +362,7 @@ def validate_bracket(problem: Problem) -> tuple[int, int]:
     :class:`EvaluationError` on NaN.  A single exact-zero endpoint is a
     valid bracket: sign 0 differs from the other side.
     """
-    f_lo, f_hi, _ = _validate_endpoints(problem.f, problem.bracket)
+    f_lo, f_hi = _validate_endpoints(problem.f, problem.bracket)
     return sign(f_lo), sign(f_hi)
 
 
@@ -608,13 +599,13 @@ def solve(
 ) -> SolveResult:
     """Run N-section passes to convergence.
 
-    ``backend`` selects the evaluation engine: "numpy" (the reference
-    path below), "numba" (a compiled kernel producing the same records),
-    or None to defer to the MULTISECTION_BACKEND environment variable,
-    read on every call, and then to auto-detection.  See
-    :mod:`multisection.kernels`.  A bracket whose nodes at
-    ``options.sections`` would overflow raises :class:`DomainError`
-    before any backend runs.
+    ``backend`` selects the engine that runs the passes under
+    :func:`_solve`: "numpy" (:func:`_multisect`), "numba" (a compiled
+    kernel producing the same records), or None to defer to the
+    MULTISECTION_BACKEND environment variable, read on every call, and
+    then to auto-detection.  See :mod:`multisection.kernels`.  A bracket
+    whose nodes at ``options.sections`` would overflow raises
+    :class:`DomainError` before any backend runs.
     """
     if options is None:
         options = SolveOptions()
@@ -626,7 +617,7 @@ def solve(
         logger.warning(
             "numba backend unavailable for problem %r; using numpy path", problem.id
         )
-    return _solve_reference(problem, options)
+    return _solve(problem.f, _multisect, problem.bracket, options)
 
 
 def _first_smallest(fs) -> int:
@@ -638,30 +629,33 @@ def _first_smallest(fs) -> int:
     return magnitudes.index(min(magnitudes))
 
 
-def _solve_reference(problem: Problem, options: SolveOptions) -> SolveResult:
-    """The plain Python/numpy solve loop.  Semantics live here; the numba
-    kernel in :mod:`multisection.kernels` must match it record for record."""
-    f, bracket, sections = problem.f, problem.bracket, options.sections
-    f_lo, _, done = _validate_endpoints(f, bracket)
-    if done is not None:
-        return done
+def _solve(f: Callable[[float], float], passes, bracket: Interval,
+           options: SolveOptions) -> SolveResult:
+    """The one solve driver, for every backend: check the endpoints (a
+    zero there is a zero-iteration ``ExactZero`` result), fix the pass
+    budget, run ``passes(f, sections, f_lo, lo, hi, limit, rtol)``, probe
+    f at the root when that returns no stop, and build the result.
+    ``passes`` returns what :func:`_multisect` returns: the stop or None,
+    the root, its residual, and four sequences with one entry per pass
+    run (the nodes, their values, the chosen lo and hi)."""
+    f_lo, f_hi = _validate_endpoints(f, bracket)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return SolveResult(root=bracket.lo if f_lo == 0.0 else bracket.hi, residual=0.0,
+                           iterations=0, function_evaluations=2,
+                           termination=Termination.EXACT_ZERO)
 
+    sections = options.sections
     limit, termination = _budget(bracket, options)
-    stop, root, residual, steps = _multisect(f, sections, f_lo, bracket.lo, bracket.hi,
-                                             limit, options.residual_tolerance)
+    stop, root, residual, steps = passes(f, sections, f_lo, bracket.lo, bracket.hi,
+                                         limit, options.residual_tolerance)
     if stop is None:  # every pass ran
         residual = float(f(root))  # diagnostic probe, not counted
     else:
         termination = stop
     iterations = len(steps[0])
-    return SolveResult(
-        root=root,
-        residual=residual,
-        iterations=iterations,
-        function_evaluations=2 + (sections - 1) * iterations,
-        termination=termination,
-        steps=Steps(bracket, *steps),
-    )
+    return SolveResult(root=root, residual=residual, iterations=iterations,
+                       function_evaluations=2 + (sections - 1) * iterations,
+                       termination=termination, steps=Steps(bracket, *steps))
 
 
 # last: kernels imports this module's types

@@ -212,6 +212,26 @@ class TestInterpretedKernel:
         assert kernels._compiled[problem.f] is None
         assert result == solve(problem, options, backend="numpy")
 
+    def test_kernel_compile_failure_after_the_endpoints_falls_back(self, monkeypatch,
+                                                                   caplog):
+        # f compiles and is called at both ends; only the kernel fails
+        monkeypatch.setattr(InterpretedNumba, "compile_fails", "kernel")
+        problem, options = corpus()[2], SolveOptions(sections=3)
+        args = []
+
+        def f(x):
+            args.append(x)
+            return problem.f(x)
+
+        with caplog.at_level(logging.WARNING):
+            result = solve(Problem(problem.id, f, problem.bracket), options, backend="numba")
+        ends = [problem.bracket.lo, problem.bracket.hi]
+        assert args[:4] == ends + ends  # the numba path's, then the numpy path's
+        assert any("compile failed" in r.message for r in caplog.records)
+        assert any("using numpy path" in r.message for r in caplog.records)
+        assert kernels._compiled[f] is None
+        assert result == solve(problem, options, backend="numpy")
+
     @pytest.mark.parametrize("sections", [2, 10])
     def test_verify_reads_the_kernels_arrays(self, sections):
         for problem in corpus():

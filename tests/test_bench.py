@@ -415,6 +415,12 @@ class TestPerSolveSeconds:
             measured = per_solve_seconds(problem, n, runner)
             assert abs(measured - expected) <= 1e-12 * expected
 
+    def test_coarse_clock_raises(self):
+        # the sweep's rule: the resolution must be at most 1% of the span
+        assert per_solve_seconds(corpus()[2], 4, CountingRunner(resolution=1e-9)) > 0.0
+        with pytest.raises(ClockError, match="exceeds 1% of the measured span"):
+            per_solve_seconds(corpus()[2], 4, CountingRunner(resolution=1.0))
+
 
 class TestCalibrate:
     def test_synthetic_end_to_end(self):

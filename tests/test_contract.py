@@ -69,9 +69,10 @@ class ScalarOnly:
 
 class InterpretedNumba:
     """Stands in for numba with ``njit`` as the identity, so the compiled
-    backend's kernel runs as plain Python.  With ``compile_fails`` set,
+    backend's kernel runs as plain Python.  With ``compile_fails`` True,
     a jitted function raises ``NumbaError`` when called, as numba does
-    when the first call's compile fails."""
+    when the first call's compile fails; set to a function's name, only
+    that function does."""
 
     compile_fails = False
 
@@ -83,7 +84,7 @@ class InterpretedNumba:
     @classmethod
     def njit(cls, *args, **kwargs):
         def jit(fn):
-            if not cls.compile_fails:
+            if cls.compile_fails not in (True, fn.__name__):
                 return fn
 
             def fails(*args):

@@ -108,6 +108,14 @@ class TestHugeRatio:
         assert math.isfinite(report.rel_eff_integer)
         assert abs(report.rel_eff_integer - report.rel_eff) <= 1e-12 * report.rel_eff
 
+    def test_integer_optimum_where_both_neighbours_overflow(self):
+        # T_t is inf at both neighbours, N = 3 and 4: they still compare as at R = 1
+        huge = efficiency_report(CostModel(m=1e307, c=1e307), ProblemScale(width=1.0))
+        unit = efficiency_report(CostModel(m=1.0, c=1.0), ProblemScale(width=1.0))
+        assert huge.t_t_at_min == math.inf
+        assert huge.n_min_integer == unit.n_min_integer == 4
+        assert abs(huge.rel_eff_integer - unit.rel_eff_integer) <= 1e-15
+
     def test_predict_prints_a_nonzero_rel_eff(self, capsys):
         assert main(["predict", "--ratio", "3e305"]) == 0
         assert f"rel_eff = {rel_eff(3e305)!r}\n" in capsys.readouterr().out
