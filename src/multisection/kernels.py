@@ -13,8 +13,9 @@ Two engines supply the passes:
   node arithmetic and departure rule: every chosen left end keeps the
   sign ``s`` of f at the bracket's left end, so the chosen subinterval
   ends at the first node with ``s*f(x) <= 0``, else at hi.  It fills the
-  arrays the solver builds every backend's trace from, so results agree
-  with the numpy path apart from last-ulp libm differences in f itself.
+  arrays of values and chosen ends the solver builds every backend's
+  trace from (no backend keeps its nodes), so results agree with the
+  numpy path apart from last-ulp libm differences in f itself.
 
 Selection order: an explicit ``backend=`` argument, then the
 MULTISECTION_BACKEND environment variable, then auto-detection (numba if
@@ -23,8 +24,8 @@ not import it — the probe happens on first use and is remembered.
 
 A function that numba cannot compile (closures over Python objects,
 calls into arbitrary extensions, ...) falls back to the numpy path with
-a logged warning; the failure is cached so the compile is attempted
-only once.
+a logged warning; the failure is cached so the compile is attempted,
+and the fallback logged, only once per function.
 """
 
 from __future__ import annotations
@@ -101,58 +102,61 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 def _make_kernel(nb, fj):
     """The numba backend's passes: a function with
     :func:`~multisection.solver._multisect`'s signature and return that
-    allocates one row per budgeted pass and runs a nopython loop closed
-    over the jitted function.  The endpoints, the budget, the probe and
-    the result come from :func:`~multisection.solver._solve`.
+    allocates one row of values per budgeted pass and runs a nopython
+    loop closed over the jitted function.  The endpoints, the budget, the
+    probe and the result come from :func:`~multisection.solver._solve`.
 
-    The loop calls f only at nodes.  In each pass one loop over the nodes
-    evaluates each, exits on NaN and marks the first node that departs
-    from ``s``, the sign of f at the bracket's left end (``s*f(x) <= 0``);
-    with none, the subinterval ends at hi, which always departs: the
+    The loop calls f only at nodes, and keeps their values but not the
+    nodes, which the solver's steps derive from each pass's bracket.  In
+    each pass one loop over the nodes evaluates each, exits on NaN and
+    keeps in locals the first node that departs from ``s``, the sign of
+    f at the bracket's left end (``s*f(x) <= 0``), and the node before
+    it; with none, the subinterval ends at hi, which always departs: the
     bracket's ends have opposite signs, and each chosen hi departs.  The
     point before the departing one keeps ``s``, so only the departing node
     can be an exact zero, which ends the solve (``f_lo`` is never 0: an
-    endpoint zero ends the solve before any pass).  The closure over a
+    endpoint zero ends the solve before any pass).  The residual stop's
+    root is its node rebuilt by the same arithmetic.  The closure over a
     dispatcher rules out numba's on-disk cache, so each (function,
     process) pair pays one compile; the pair is memoized in ``_compiled``.
     """
 
     @nb.njit(cache=False)
-    def kernel(lo, hi, f_lo, sections, rtol, limit,
-               nodes_x, nodes_f, chosen_lo, chosen_hi):
+    def kernel(lo, hi, f_lo, sections, rtol, limit, nodes_f, chosen_lo, chosen_hi):
         s = -1.0 if f_lo < 0.0 else 1.0
         for it in range(limit):
             span = hi - lo
             k = sections - 1  # hi, unless a node departs first
+            left, right = lo, hi  # the chosen pair's ends
             for j in range(1, sections):
                 x = lo + (j * span) / sections
                 fx = fj(x)
                 if fx != fx:
                     return _NAN, x, fx, it
-                nodes_x[it, j - 1] = x
                 nodes_f[it, j - 1] = fx
-                if k == sections - 1 and s * fx <= 0.0:
-                    k = j - 1
-            if k < sections - 1:
-                hi = nodes_x[it, k]
-            if k > 0:
-                lo = nodes_x[it, k - 1]
-            chosen_lo[it] = lo
-            chosen_hi[it] = hi
+                if k == sections - 1:
+                    if s * fx <= 0.0:
+                        k, right = j - 1, x
+                    else:
+                        left = x
+            chosen_lo[it] = left
+            chosen_hi[it] = right
             if k < sections - 1 and nodes_f[it, k] == 0.0:
-                return _EXACT, hi, 0.0, it + 1
+                return _EXACT, right, 0.0, it + 1
             if rtol > 0.0:
                 best = 0
                 for j in range(1, sections - 1):
                     if abs(nodes_f[it, j]) < abs(nodes_f[it, best]):
                         best = j
                 if abs(nodes_f[it, best]) <= rtol:
-                    return _RESIDUAL, nodes_x[it, best], nodes_f[it, best], it + 1
+                    x = lo + ((best + 1) * span) / sections
+                    return _RESIDUAL, x, nodes_f[it, best], it + 1
+            lo, hi = left, right
         return _BUDGET, lo + (hi - lo) / 2.0, 0.0, limit
 
     def passes(f, sections, f_lo, lo, hi, limit, rtol):
-        shape = (limit, sections - 1)  # a row per pass the budget allows, and no more
-        steps = (np.empty(shape), np.empty(shape), np.empty(limit), np.empty(limit))
+        # a row per pass the budget allows, and no more; no nodes are kept
+        steps = np.empty((limit, sections - 1)), np.empty(limit), np.empty(limit)
         term, root, residual, iterations = kernel(lo, hi, f_lo, sections, rtol, limit, *steps)
         if term == _NAN:
             raise EvaluationError(f"f({root}) is NaN")
@@ -162,26 +166,39 @@ def _make_kernel(nb, fj):
     return passes
 
 
-def _compile(f):
+def _compile(problem: Problem):
     """The jitted f and its passes, or None; see ``_compiled``."""
+    f = problem.f
     if f not in _compiled:
         nb = _get_numba()
         try:
             fj = None if nb is None else nb.njit(cache=True)(f)
         except Exception:
             fj = None
-        _compiled[f] = None if fj is None else (fj, _make_kernel(nb, fj))
+        if fj is None:
+            _fall_back(problem)
+        else:
+            _compiled[f] = (fj, _make_kernel(nb, fj))
     return _compiled[f]
 
 
+def _fall_back(problem: Problem) -> None:
+    """Cache that ``problem.f`` runs on the numpy path, and say so: once
+    per f, since every later solve of it reads the cache."""
+    _compiled[problem.f] = None
+    logger.warning("numba backend unavailable for problem %r; using numpy path",
+                   problem.id)
+
+
 def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult]:
-    """Solve on the numba backend; None when f cannot be compiled.
+    """Solve on the numba backend; None when f cannot be compiled, which
+    is logged on the solve that finds it out.
 
     The endpoints and the probe are evaluated with the jitted function
     too, so the whole run sees one evaluation engine.  numba compiles on
     a function's first call, so a failed compile can surface at the first
     endpoint or at the kernel's first call; either falls back."""
-    compiled = _compile(problem.f)
+    compiled = _compile(problem)
     if compiled is None:
         return None
     fj, passes = compiled
@@ -189,5 +206,5 @@ def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult
         return _solve(fj, passes, problem.bracket, options)
     except _get_numba().core.errors.NumbaError:
         logger.warning("numba compile failed for %r; falling back", problem.id)
-        _compiled[problem.f] = None
+        _fall_back(problem)
         return None

@@ -54,16 +54,17 @@ whenever f returns the same bits for a float as for an array.  A bracket
 whose ``(N - 1) * width`` overflows is refused with :class:`DomainError`,
 so no node ever falls outside its bracket.
 
-A solve keeps each iteration's nodes, their values and the chosen
-endpoints as they are (arrays from the array pass, lists from the list
-pass); the :class:`IterationRecord` trace is built from them on the
-first read of :attr:`SolveResult.trace`, so a caller that never reads it
-never pays for it.
+A solve keeps each iteration's node values and the chosen endpoints as
+they are (arrays from the array pass, lists from the list pass), and no
+nodes: a pass's nodes are a function of its bracket and N by the pinned
+arithmetic, so :attr:`Steps.nodes_x` derives them on read.  The
+:class:`IterationRecord` trace is built from the steps on the first read
+of :attr:`SolveResult.trace`, so a caller that never reads it never pays
+for it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 import sys
@@ -83,8 +84,6 @@ from .errors import (
     NoSignChangeError,
     describe,
 )
-
-logger = logging.getLogger(__name__)
 
 #: Default width tolerance: one binary64 spacing unit at scale 1.
 MACHINE_WIDTH = 2.0 ** -52
@@ -207,16 +206,58 @@ class IterationRecord:
     exact_root: Optional[float] = None
 
 
+def _pass_nodes(lo, hi, values):
+    """The nodes of the pass over [lo, hi] that gave ``values``, by the
+    pinned arithmetic ``lo + (j * (hi - lo)) / N`` with the float index
+    ``j = 1.0 .. N - 1``: an array where the pass kept an array of
+    values, else a list of Python floats.  Every pass builds its nodes by
+    these operations in this order, so these are the bits f was called
+    with."""
+    sections = len(values) + 1
+    n = float(sections)
+    if isinstance(values, np.ndarray):
+        return lo + (np.arange(1.0, n) * (hi - lo)) / n
+    span = hi - lo
+    return [lo + (i * span) / n for i in map(float, range(1, sections))]
+
+
+class _Nodes(Sequence):
+    """Each pass's nodes, derived on read by :func:`_pass_nodes` from its
+    bracket (the solve's, then the pair the pass before it chose) and
+    its values."""
+
+    __slots__ = ("_bracket", "_values", "_chosen_lo", "_chosen_hi")
+
+    def __init__(self, bracket: Interval, values, chosen_lo, chosen_hi):
+        self._bracket = bracket
+        self._values = values
+        self._chosen_lo = chosen_lo
+        self._chosen_hi = chosen_hi
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]  # negative indices, and IndexError
+        if i == 0:
+            lo, hi = self._bracket.lo, self._bracket.hi
+        else:
+            lo, hi = self._chosen_lo[i - 1], self._chosen_hi[i - 1]
+        return _pass_nodes(lo, hi, self._values[i])
+
+
 class Steps(NamedTuple):
     """What every backend's solve keeps to build its trace from: the
-    bracket and, per iteration, the nodes, their f values and the chosen
-    subinterval's ends.
+    bracket and, per iteration, the f values at the nodes and the chosen
+    subinterval's ends.  ``nodes_x`` keeps no nodes: it derives each
+    pass's nodes on read from the pass's bracket and N (see
+    :func:`_pass_nodes`), as an array where the pass kept an array of
+    values and as a list of floats where it kept a list.
 
-    The numpy path keeps one sequence of nodes and one of values per
-    iteration: lists of floats for N at or below
-    :data:`LIST_PASS_MAX_SECTIONS`, or once f rejects an array, and
-    arrays otherwise.  The numba backend keeps rows of 2-D arrays and
-    arrays of ends.
+    The numpy path keeps one sequence of values per iteration: a list of
+    floats for N at or below :data:`LIST_PASS_MAX_SECTIONS`, or once f
+    rejects an array, and an array otherwise.  The numba backend keeps
+    the rows of a 2-D array and arrays of ends.
     """
 
     bracket: Interval
@@ -291,9 +332,9 @@ class SolveResult:
             return ()
         records = []
         before = self.steps.bracket
-        for i, (lo, hi, exact) in enumerate(self._chosen()):
-            record = _record(i + 1, before, self.steps.nodes_x[i],
-                             self.steps.nodes_f[i], lo, hi, exact)
+        passes = zip(self.steps.nodes_x, self.steps.nodes_f, self._chosen())
+        for i, (xs, fs, (lo, hi, exact)) in enumerate(passes, 1):
+            record = _record(i, before, xs, fs, lo, hi, exact)
             records.append(record)
             before = record.chosen_subinterval
         return tuple(records)
@@ -322,9 +363,10 @@ def _same_values(a, b) -> bool:
 
 def _same_steps(a: Optional[Steps], b: Optional[Steps]) -> bool:
     """Whether two solves' steps make equal traces, without building them:
-    the same chosen ends and the same nodes and values, and the same
-    bracket unless no iteration ran.  (The exact root of the last record
-    is the result's root, which the fields already compare.)"""
+    the same chosen ends and the same values, and the same bracket unless
+    no iteration ran.  The nodes follow from the bracket, the chosen ends
+    and N, and the exact root of the last record is the result's root,
+    which the fields already compare."""
     iterations = 0 if a is None else len(a.chosen_lo)
     if iterations != (0 if b is None else len(b.chosen_lo)):
         return False
@@ -332,7 +374,6 @@ def _same_steps(a: Optional[Steps], b: Optional[Steps]) -> bool:
         a.bracket == b.bracket
         and _same_values(a.chosen_lo, b.chosen_lo)
         and _same_values(a.chosen_hi, b.chosen_hi)
-        and all(map(_same_values, a.nodes_x, b.nodes_x))
         and all(map(_same_values, a.nodes_f, b.nodes_f))
     )
 
@@ -405,7 +446,8 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     node, before the departure scan; the array pass finds it with one
     ``argmax`` over the values, which returns the first NaN's index when
     there is one, and builds no boolean array.  Returns the stop, the
-    root, its residual and the four step lists: ``ExactZero`` at a zero
+    root, its residual and the three step lists (the values, the chosen
+    lo and hi; the nodes are not kept): ``ExactZero`` at a zero
     node, ``ResidualReached`` at the first node of least ``|f|`` when
     that is at most ``rtol`` > 0, else None with the last pair's midpoint
     and no residual.  What is fixed within a solve is bound once, after
@@ -416,7 +458,7 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     pass and every later one call f once per node, over the index as a
     list.
     """
-    steps = nodes_x, nodes_f, chosen_lo, chosen_hi = [], [], [], []
+    steps = nodes_f, chosen_lo, chosen_hi = [], [], []
     if not limit:
         return None, lo + (hi - lo) / 2.0, None, steps
     asarray, array_of, float64, isnan = np.asarray, np.array, np.float64, math.isnan
@@ -482,7 +524,6 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
             hi = xs[k]
         if array_pass:  # the list passes' nodes are Python floats already
             lo, hi = float(lo), float(hi)
-        nodes_x.append(xs)
         nodes_f.append(fs)
         chosen_lo.append(lo)
         chosen_hi.append(hi)
@@ -523,8 +564,8 @@ def multisect_step(
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise EvaluationError("endpoint function value is NaN")
     departs = _departure(f_lo)
-    stop, root, _, steps = _multisect(f, sections, f_lo, interval.lo, interval.hi, 1)
-    (xs,), (fs,), (lo,), (hi,) = steps
+    stop, root, _, ((fs,), (lo,), (hi,)) = _multisect(f, sections, f_lo, interval.lo,
+                                                     interval.hi, 1)
     exact = None if stop is None else root
     if not any(departs(fx, 0.0) for fx in fs):
         # the chosen pair is the last node and interval.hi
@@ -535,7 +576,8 @@ def multisect_step(
             exact = hi
     if f_lo == 0.0:
         exact = lo
-    return _record(index, interval, xs, fs, lo, hi, exact)
+    return _record(index, interval, _pass_nodes(interval.lo, interval.hi, fs), fs,
+                   lo, hi, exact)
 
 
 def widths(width: float, sections: int) -> Iterator[float]:
@@ -614,9 +656,6 @@ def solve(
         result = kernels.solve_numba(problem, options)
         if result is not None:
             return result
-        logger.warning(
-            "numba backend unavailable for problem %r; using numpy path", problem.id
-        )
     return _solve(problem.f, _multisect, problem.bracket, options)
 
 
@@ -636,8 +675,9 @@ def _solve(f: Callable[[float], float], passes, bracket: Interval,
     budget, run ``passes(f, sections, f_lo, lo, hi, limit, rtol)``, probe
     f at the root when that returns no stop, and build the result.
     ``passes`` returns what :func:`_multisect` returns: the stop or None,
-    the root, its residual, and four sequences with one entry per pass
-    run (the nodes, their values, the chosen lo and hi)."""
+    the root, its residual, and three sequences with one entry per pass
+    run (the values at the nodes, the chosen lo and hi), from which
+    :class:`Steps` derives the nodes."""
     f_lo, f_hi = _validate_endpoints(f, bracket)
     if f_lo == 0.0 or f_hi == 0.0:
         return SolveResult(root=bracket.lo if f_lo == 0.0 else bracket.hi, residual=0.0,
@@ -655,7 +695,8 @@ def _solve(f: Callable[[float], float], passes, bracket: Interval,
     iterations = len(steps[0])
     return SolveResult(root=root, residual=residual, iterations=iterations,
                        function_evaluations=2 + (sections - 1) * iterations,
-                       termination=termination, steps=Steps(bracket, *steps))
+                       termination=termination,
+                       steps=Steps(bracket, _Nodes(bracket, *steps), *steps))
 
 
 # last: kernels imports this module's types

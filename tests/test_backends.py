@@ -188,7 +188,7 @@ class TestInterpretedKernel:
         monkeypatch.setattr(kernels.np, "empty", recording)
         result = solve(corpus()[2], options, backend="numba")
         assert result.iterations == 34
-        assert shapes == [(34, 2), (34, 2), 34, 34]
+        assert shapes == [(34, 2), 34, 34]
 
     @pytest.mark.parametrize("problem,options,literal", CASES)
     def test_conformance_grid(self, monkeypatch, problem, options, literal):
@@ -211,6 +211,17 @@ class TestInterpretedKernel:
         assert any("using numpy path" in r.message for r in caplog.records)
         assert kernels._compiled[problem.f] is None
         assert result == solve(problem, options, backend="numpy")
+
+    def test_a_cached_compile_failure_is_not_logged_again(self, monkeypatch, caplog):
+        monkeypatch.setattr(InterpretedNumba, "compile_fails", True)
+        problem, options = corpus()[2], SolveOptions(sections=3)
+        with caplog.at_level(logging.WARNING):
+            solve(problem, options, backend="numba")
+            assert len(caplog.records) == 2  # compile failed, using numpy path
+            caplog.clear()
+            results = [solve(problem, options, backend="numba") for _ in range(2)]
+        assert [r.message for r in caplog.records] == []
+        assert results == [solve(problem, options, backend="numpy")] * 2
 
     def test_kernel_compile_failure_after_the_endpoints_falls_back(self, monkeypatch,
                                                                    caplog):

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,11 +28,11 @@ from multisection import (
     validate_bracket,
     verify_error_bounds,
 )
-from multisection import solver
+from multisection import kernels, solver
 from multisection.bench import SweepConfig
 from multisection.solver import LIST_PASS_MAX_SECTIONS, Steps
-from test_contract import (PATHS, ScalarOnly, check, fields, linear, outcome, take,
-                           textbook_multisection)
+from test_contract import (PATHS, Recording, ScalarOnly, check, fields, linear, outcome,
+                           take, textbook_multisection)
 
 MU = 2.0 ** -52
 
@@ -659,6 +660,21 @@ class TestNoReferenceCycles:
             gc.enable()
 
 
+class TestMemory:
+    def test_a_result_keeps_its_values_and_no_nodes(self):
+        # square-8 at N = 4096 runs five array passes: 8 bytes per value,
+        # and 4 KiB for the arrays' headers, the ends and the result
+        problem, options = corpus()[2], SolveOptions(sections=4096)
+        solve(problem, options)  # warm-up: the memoised budget and numpy's caches
+        tracemalloc.start()
+        try:
+            result = solve(problem, options)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 8 * result.function_evaluations + 4096
+
+
 class TestLinearProperties:
     @given(
         lo=st.floats(min_value=-100.0, max_value=99.0),
@@ -772,6 +788,47 @@ class TestHugeBrackets:
         if result.termination is Termination.WIDTH_REACHED:
             assert result.iterations == predicted_max_iterations(
                 problem.bracket, MU, sections)
+
+    # most examples run a few hundred passes, one Python call of f per
+    # node on the per-node and kernel paths
+    @settings(max_examples=8, deadline=None)
+    @given(
+        near=st.sampled_from([1.7e308, -1.7e308]),
+        width=magnitudes(965),  # from under one spacing at 1.7e308 up
+        frac=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @pytest.mark.parametrize("sections", [3, 13, 250])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_each_records_nodes_are_the_bits_f_was_called_with(
+            self, path, sections, near, width, frac):
+        # the bracket has one end at near, and nodes that do not overflow
+        width = min(width, 1.7e308 / (sections - 1))
+        lo, hi = (near - width, near) if near > 0 else (near, near + width)
+        if not lo < hi:
+            return  # the width is lost in the end's rounding
+        # a step with no zero, so every pass of the budget runs, past the
+        # ends' collision to adjacent doubles
+        step = min(max(lo + frac * (hi - lo), lo), math.nextafter(hi, lo))
+        recording = Recording(lambda x: (x > step) * 2.0 - 1.0)
+
+        def f(x):  # a function: the interpreted njit reads its name
+            return recording(x)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            problem, backend = take(path, Problem("hyp-near-max", f, Interval(lo, hi)),
+                                    sections, monkeypatch)
+            result = solve(problem, SolveOptions(sections=sections), backend=backend)
+            if path == "kernel":
+                assert kernels._compiled[f] is not None  # the kernel ran
+        # the per-node path's f records only the floats it accepts
+        called = [x for arg in recording.args[2:]
+                  for x in (arg.tolist() if isinstance(arg, np.ndarray) else [arg])]
+        assert recording.args[:2] == [lo, hi]
+        assert result.termination is Termination.WIDTH_REACHED
+        assert len(called) == result.function_evaluations - 2 + 1  # and the probe
+        for i, record in enumerate(result.trace):
+            passed = called[i * (sections - 1):(i + 1) * (sections - 1)]
+            assert [x.hex() for x, _ in record.evaluated_nodes] == [x.hex() for x in passed]
 
     # each example runs five solves and a textbook replay, most of them
     # one Python call of f per node
