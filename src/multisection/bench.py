@@ -14,9 +14,10 @@ assumes.  :func:`calibrate` times whole solves at N = 2 and N_min with
 ``runner.timed_solves``: ``timed_loops`` is kept for the sweep's work,
 which its config fixes, while N_min moves with the host's noise.
 
-The clock is injectable: :class:`WallClockRunner` is the real thing;
-:class:`SyntheticRunner` implements ``t = m*N + c`` exactly against a
-fake clock, which makes the entire calibrate pipeline deterministic and
+The clock is injectable: :class:`WallClockRunner` is the real thing,
+and :class:`SyntheticRunner` replaces only its one primitive, which
+times whole solves, with ``t = m*N + c`` per budgeted loop against a
+fake clock; that makes the entire calibrate pipeline deterministic and
 is the jitter-free oracle the tests use.
 
 The least-squares fit runs in exact rational arithmetic (fractions) and
@@ -49,8 +50,8 @@ from .model import (
 from .solver import (
     Problem,
     SolveOptions,
+    _budget,
     check_integer,
-    predicted_max_iterations,
     solve,
 )
 
@@ -134,7 +135,9 @@ class CalibrationResult:
 
 
 class LoopRunner(Protocol):
-    """Injectable execution-and-clock engine for measurements."""
+    """Injectable execution-and-clock engine for measurements; the
+    package's runners build both methods on one primitive (see
+    :class:`WallClockRunner`)."""
 
     resolution: float
 
@@ -153,43 +156,51 @@ class LoopRunner(Protocol):
 
 
 class WallClockRunner:
-    """Real solves timed with time.perf_counter."""
+    """Real solves timed with time.perf_counter, by one primitive,
+    :meth:`_timed`: ``timed_solves`` is its seconds, and ``timed_loops``
+    runs blocks of as many solves as the remaining loops need at the
+    solver's pass budget, which is exact unless a solve stops at an
+    exact zero or the residual (then another block runs)."""
 
     def __init__(self, backend: Optional[str] = None):
         self.backend = backend
         self.resolution = time.get_clock_info("perf_counter").resolution
 
+    def _timed(self, problem: Problem, options: SolveOptions, solves: int) -> tuple[int, float]:
+        """Run ``solves`` whole solves in one clock window; return
+        (the loops they ran, elapsed seconds)."""
+        loops = 0
+        start = time.perf_counter()
+        for _ in range(solves):
+            loops += solve(problem, options, backend=self.backend).iterations
+        return loops, time.perf_counter() - start
+
     def timed_loops(
         self, problem: Problem, options: SolveOptions, target_loops: int
     ) -> tuple[int, float]:
-        loops = 0
-        start = time.perf_counter()
-        while loops < target_loops:
-            result = solve(problem, options, backend=self.backend)
-            if result.iterations == 0:
-                raise DomainError(
-                    f"solve of {problem.id!r} performs no loop iterations; "
-                    "nothing to time"
-                )
-            loops += result.iterations
-        elapsed = time.perf_counter() - start
+        budget = _budget(problem.bracket, options)[0]
+        loops, elapsed = 0, 0.0
+        while loops < target_loops or budget == 0:
+            ran, seconds = (0, 0.0) if budget == 0 else self._timed(
+                problem, options, -(-(target_loops - loops) // budget))
+            if ran == 0:
+                raise DomainError(f"solve of {problem.id!r} performs no loop "
+                                  "iterations; nothing to time")
+            loops, elapsed = loops + ran, elapsed + seconds
         return loops, elapsed
 
     def timed_solves(
         self, problem: Problem, options: SolveOptions, count: int
     ) -> float:
-        start = time.perf_counter()
-        for _ in range(count):
-            solve(problem, options, backend=self.backend)
-        return time.perf_counter() - start
+        return self._timed(problem, options, count)[1]
 
 
-class SyntheticRunner:
+class SyntheticRunner(WallClockRunner):
     """Fake clock advancing by exactly t = m*N + c per loop iteration.
 
-    No function is ever evaluated; loop counts come from
-    :func:`predicted_max_iterations`, which is exact for solves that do
-    not hit a node zero.  Deterministic, instant, and jitter-free.
+    No function is ever evaluated; each solve runs the solver's pass
+    budget, which is exact unless a solve stops at an exact zero or the
+    residual.  Deterministic, instant, and jitter-free.
     """
 
     def __init__(self, m: float, c: float):
@@ -200,32 +211,9 @@ class SyntheticRunner:
         self.c = c
         self.resolution = 0.0
 
-    def _loops_per_solve(self, problem: Problem, options: SolveOptions) -> int:
-        loops = predicted_max_iterations(
-            problem.bracket, options.width_tolerance, options.sections
-        )
-        if loops == 0:
-            raise DomainError(
-                f"solve of {problem.id!r} performs no loop iterations; "
-                "nothing to time"
-            )
-        return loops
-
-    def timed_loops(
-        self, problem: Problem, options: SolveOptions, target_loops: int
-    ) -> tuple[int, float]:
-        per_solve = self._loops_per_solve(problem, options)
-        solves = -(-target_loops // per_solve)
-        loops = solves * per_solve
-        t_loop = self.m * options.sections + self.c
-        return loops, loops * t_loop
-
-    def timed_solves(
-        self, problem: Problem, options: SolveOptions, count: int
-    ) -> float:
-        per_solve = self._loops_per_solve(problem, options)
-        t_loop = self.m * options.sections + self.c
-        return count * per_solve * t_loop
+    def _timed(self, problem: Problem, options: SolveOptions, solves: int) -> tuple[int, float]:
+        loops = solves * _budget(problem.bracket, options)[0]
+        return loops, loops * (self.m * options.sections + self.c)
 
 
 def _timed_rounds(measure, items,
@@ -366,7 +354,7 @@ def _solve_seconds(problem: Problem, ns: Sequence[int], runner: LoopRunner) -> l
     with ``runner.timed_solves``: a thousand loops' solves per N, one a batch at least."""
     def batch(n, round_index):
         options = SolveOptions(sections=n)
-        per_solve = predicted_max_iterations(problem.bracket, options.width_tolerance, n)
+        per_solve = _budget(problem.bracket, options)[0]
         solves = max(_N_BATCHES, -(-1000 // max(per_solve, 1)))
         count = solves // _N_BATCHES + (round_index < solves % _N_BATCHES)
         return count, runner.timed_solves(problem, options, count)

@@ -25,7 +25,8 @@ not import it — the probe happens on first use and is remembered.
 A function that numba cannot compile (closures over Python objects,
 calls into arbitrary extensions, ...) falls back to the numpy path with
 a logged warning; the failure is cached so the compile is attempted,
-and the fallback logged, only once per function.
+and the fallback logged, only once per function.  Without numba every
+request falls back uncached, logged once per process.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ VALID_BACKENDS = ("numba", "numpy")
 _BUDGET, _EXACT, _RESIDUAL, _NAN = range(4)
 _STOPS = (None, Termination.EXACT_ZERO, Termination.RESIDUAL_REACHED)
 
-# f -> (jitted f, its passes), or None when numba is missing or cannot
-# jit f; a compile that fails on the first call replaces the pair by None.
+# f -> (jitted f, its passes), or None when numba cannot jit f; a
+# compile that fails on the first call replaces the pair by None.
 _compiled: dict = {}
 
 
@@ -160,8 +161,9 @@ def _make_kernel(nb, fj):
         term, root, residual, iterations = kernel(lo, hi, f_lo, sections, rtol, limit, *steps)
         if term == _NAN:
             raise EvaluationError(f"f({root}) is NaN")
+        values, chosen_lo, chosen_hi = (rows[:iterations] for rows in steps)
         return (_STOPS[term], float(root), float(residual),
-                [rows[:iterations] for rows in steps])
+                (values, chosen_lo.tolist(), chosen_hi.tolist()))
 
     return passes
 
@@ -172,10 +174,8 @@ def _compile(problem: Problem):
     if f not in _compiled:
         nb = _get_numba()
         try:
-            fj = None if nb is None else nb.njit(cache=True)(f)
+            fj = nb.njit(cache=True)(f)
         except Exception:
-            fj = None
-        if fj is None:
             _fall_back(problem)
         else:
             _compiled[f] = (fj, _make_kernel(nb, fj))
@@ -190,14 +190,24 @@ def _fall_back(problem: Problem) -> None:
                    problem.id)
 
 
+@functools.cache
+def _numba_missing() -> None:
+    """Say, once per process, that numba was asked for and is missing."""
+    logger.warning("numba backend requested but numba is not importable; "
+                   "using numpy path")
+
+
 def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult]:
-    """Solve on the numba backend; None when f cannot be compiled, which
-    is logged on the solve that finds it out.
+    """Solve on the numba backend; None, logged as the module describes,
+    when numba is missing or f cannot be compiled.
 
     The endpoints and the probe are evaluated with the jitted function
     too, so the whole run sees one evaluation engine.  numba compiles on
     a function's first call, so a failed compile can surface at the first
     endpoint or at the kernel's first call; either falls back."""
+    if _get_numba() is None:
+        _numba_missing()
+        return None
     compiled = _compile(problem)
     if compiled is None:
         return None

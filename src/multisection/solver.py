@@ -224,7 +224,7 @@ def _pass_nodes(lo, hi, values):
 class _Nodes(Sequence):
     """Each pass's nodes, derived on read by :func:`_pass_nodes` from its
     bracket (the solve's, then the pair the pass before it chose) and
-    its values."""
+    its values; a slice reads as a list of the passes it selects."""
 
     __slots__ = ("_bracket", "_values", "_chosen_lo", "_chosen_hi")
 
@@ -238,7 +238,9 @@ class _Nodes(Sequence):
         return len(self._values)
 
     def __getitem__(self, index):
-        i = range(len(self))[index]  # negative indices, and IndexError
+        i = range(len(self))[index]  # negative indices, slices, and IndexError
+        if isinstance(i, range):
+            return [self[j] for j in i]
         if i == 0:
             lo, hi = self._bracket.lo, self._bracket.hi
         else:
@@ -257,7 +259,7 @@ class Steps(NamedTuple):
     The numpy path keeps one sequence of values per iteration: a list of
     floats for N at or below :data:`LIST_PASS_MAX_SECTIONS`, or once f
     rejects an array, and an array otherwise.  The numba backend keeps
-    the rows of a 2-D array and arrays of ends.
+    the rows of a 2-D array.  Every path keeps its ends as Python floats.
     """
 
     bracket: Interval
@@ -609,22 +611,19 @@ def predicted_max_iterations(
     ``width_tolerance``: the count of binary64 divisions ``w /= N`` that
     take the interval's width to the tolerance or below.
 
-    ``solve`` fixes its pass budget by this same count, so with the same
-    arguments and no cap it performs exactly this many iterations unless
-    it lands on an exact zero or the residual stop first.  Equivalently
-    it is the smallest M with width / N**M <= tol, up to the rounding of
-    repeated division.
+    It is ``solve``'s pass budget without a cap (:func:`_budget`), so a
+    solve with the same arguments and no cap performs exactly this many
+    iterations unless it lands on an exact zero or the residual stop
+    first.  Equivalently it is the smallest M with width / N**M <= tol,
+    up to the rounding of repeated division.
     """
-    check_integer(sections, "sections")
-    if not (width_tolerance > 0.0 and math.isfinite(width_tolerance)):
-        raise DomainError(f"width_tolerance must be positive, got {width_tolerance}")
-    return _division_count(interval.width, width_tolerance, sections)
+    return _budget(interval, SolveOptions(sections, width_tolerance))[0]
 
 
 def _budget(bracket: Interval, options: SolveOptions) -> tuple[int, Termination]:
     """A solve's pass budget, fixed before its first pass: how many passes
     it may run, and how it stops when it runs them all.  That is
-    ``WidthReached`` after :func:`predicted_max_iterations` passes, unless
+    ``WidthReached`` after :func:`_division_count` divisions by N, unless
     ``max_iterations`` is smaller: then ``MaxIterations`` after that many."""
     count = _division_count(bracket.width, options.width_tolerance, options.sections)
     cap = options.max_iterations

@@ -6,6 +6,7 @@ differ by a few ulps only because the two backends' transcendental
 libraries round differently.
 """
 
+import functools
 import logging
 import math
 import os
@@ -250,6 +251,23 @@ class TestInterpretedKernel:
             reference = verify_error_bounds(problem, sections, backend="numpy")
             assert compiled == reference
             assert all(type(m) is float for m in compiled.margins)
+
+
+class TestNumbaMissing:
+    def test_a_numba_request_caches_nothing_and_warns_once(self, monkeypatch, caplog):
+        monkeypatch.setattr(kernels, "_get_numba", lambda: None)
+        monkeypatch.setattr(kernels, "_compiled", {})
+        monkeypatch.setattr(kernels, "_numba_missing",
+                            functools.cache(kernels._numba_missing.__wrapped__))
+        options = SolveOptions(sections=3)
+        problems = [Problem(f"line-{k}", lambda x, k=k: x - k / 4, Interval(0.0, 1.0))
+                    for k in (1, 2, 3)]
+        with caplog.at_level(logging.WARNING):
+            results = [solve(p, options, backend="numba") for p in problems]
+        assert kernels._compiled == {}
+        assert [r.message for r in caplog.records] == [
+            "numba backend requested but numba is not importable; using numpy path"]
+        assert results == [solve(p, options, backend="numpy") for p in problems]
 
 
 @needs_numba

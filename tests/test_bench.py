@@ -296,6 +296,46 @@ class TestMeasureLoopTime:
         with pytest.raises(DomainError):
             runner.timed_loops(p, SolveOptions(sections=2), 10)
 
+    def test_synthetic_runner_honours_the_cap(self):
+        # square-8 at N = 2 capped at 3 passes: four solves reach 10 loops
+        p, options = corpus()[2], SolveOptions(sections=2, max_iterations=3)
+        assert WallClockRunner(backend="numpy").timed_loops(p, options, 10)[0] == 12
+        assert SyntheticRunner(1.0, 1.0).timed_loops(p, options, 10) == (12, 36.0)
+        assert SyntheticRunner(1.0, 1.0).timed_solves(p, options, 1) == 9.0
+
+    @pytest.mark.parametrize("runner", [SyntheticRunner(1.0, 1.0),
+                                        WallClockRunner(backend="numpy")],
+                             ids=["synthetic", "wall-clock"])
+    def test_a_zero_pass_budget_raises_before_any_solve(self, runner):
+        p, calls = corpus()[2], []
+
+        def f(x):
+            calls.append(x)
+            return p.f(x)
+
+        with pytest.raises(DomainError, match="nothing to time"):
+            runner.timed_loops(Problem(p.id, f, p.bracket),
+                               SolveOptions(sections=2, max_iterations=0), 10)
+        assert calls == []
+
+    def test_zero_pass_solves_take_no_synthetic_time(self):
+        options = SolveOptions(sections=2, max_iterations=0)
+        assert SyntheticRunner(1.0, 1.0).timed_solves(corpus()[2], options, 5) == 0.0
+
+    def test_solves_that_stop_early_run_until_the_target(self):
+        # each solve stops at the exact zero 0.5 after one of its 52 passes
+        solves = []
+
+        def f(x):
+            if type(x) is float and x == 0.0:  # once a solve, at lo
+                solves.append(x)
+            return x - 0.5
+
+        p = Problem(id="zero-at-half", f=f, bracket=Interval(0.0, 1.0))
+        runner = WallClockRunner(backend="numpy")
+        assert runner.timed_loops(p, SolveOptions(sections=2), 10)[0] == 10
+        assert len(solves) == 10
+
     @pytest.mark.host_timing
     def test_real_clock_smoke(self):
         sample = measure_loop_time(corpus()[2], 2, min_loops=1000,

@@ -84,11 +84,12 @@ class InterpretedNumba:
     @classmethod
     def njit(cls, *args, **kwargs):
         def jit(fn):
-            if cls.compile_fails not in (True, fn.__name__):
+            name = getattr(fn, "__name__", None)
+            if cls.compile_fails not in (True, name):
                 return fn
 
             def fails(*args):
-                raise cls.core.errors.NumbaError(f"cannot compile {fn.__name__}")
+                raise cls.core.errors.NumbaError(f"cannot compile {name}")
             return fails
         return jit
 
@@ -346,3 +347,35 @@ def test_steps_keep_python_floats(monkeypatch, path, problem, options, literal):
     assert all(type(end) is float for end in [*steps.chosen_lo, *steps.chosen_hi])
     if path != "array":
         assert all(type(v) is float for seq in [*steps.nodes_x, *steps.nodes_f] for v in seq)
+
+
+@pytest.mark.parametrize("problem,options,literal",
+                         [case for case in CASES if case.id.endswith("-default")])
+def test_the_kernel_keeps_python_float_ends(monkeypatch, problem, options, literal):
+    """The kernel's chosen ends are Python floats, as on every other path."""
+    taken, backend = take("kernel", problem, options.sections, monkeypatch)
+    steps = solve(taken, options, backend=backend).steps
+    assert all(type(end) is float for end in [*steps.chosen_lo, *steps.chosen_hi])
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_slice_of_the_nodes_lists_the_passes_it_selects(monkeypatch, path):
+    taken, backend = take(path, corpus()[2], 4, monkeypatch)
+    nodes = solve(taken, SolveOptions(sections=4), backend=backend).steps.nodes_x
+
+    def hexes(passes):
+        return [[float(x).hex() for x in xs] for xs in passes]
+
+    for index in (slice(1, 3), slice(None, None, -1)):
+        picked = nodes[index]
+        assert type(picked) is list
+        assert hexes(picked) == hexes([nodes[i] for i in range(len(nodes))[index]])
+
+
+def test_the_kernel_runs_a_callable_without_a_name(monkeypatch):
+    problem, options = corpus()[2], SolveOptions(sections=4)
+    use_interpreted_numba(monkeypatch)
+    f = Recording(problem.f)
+    result = solve(Problem(problem.id, f, problem.bracket), options, backend="numba")
+    assert kernels._compiled[f] is not None  # the kernel ran
+    assert result == solve(problem, options, backend="numpy")
