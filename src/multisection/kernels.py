@@ -1,10 +1,12 @@
 """Evaluation backends for the solver.
 
-A backend runs only a solve's passes.  Everything around them (the
-endpoint checks, the pass budget, the probe of f at the root when every
-pass ran and the :class:`~multisection.solver.SolveResult`) comes from
-one driver, :func:`multisection.solver._solve`, whichever backend ran.
-Two engines supply the passes:
+A backend runs only a solve's passes, and returns only how they stopped
+and their steps: the values at each pass's nodes and the ends of each
+chosen pair.  Everything around them (the endpoint checks, the pass
+budget, the root and residual of every stop, the probe of f at the root
+when every pass ran and the :class:`~multisection.solver.SolveResult`)
+comes from one driver, :func:`multisection.solver._solve`, whichever
+backend ran.  Two engines supply the passes:
 
 * ``"numpy"`` — :func:`multisection.solver._multisect`, which evaluates
   each iteration's nodes with one vectorized call.
@@ -101,25 +103,23 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 
 
 def _make_kernel(nb, fj):
-    """The numba backend's passes: a function with
-    :func:`~multisection.solver._multisect`'s signature and return that
-    allocates one row of values per budgeted pass and runs a nopython
-    loop closed over the jitted function.  The endpoints, the budget, the
-    probe and the result come from :func:`~multisection.solver._solve`.
+    """The numba backend's passes, with
+    :func:`~multisection.solver._multisect`'s signature and return (the
+    stop and the steps): one row of values per budgeted pass, filled by a
+    nopython loop closed over the jitted function.  Every root and
+    residual comes from :func:`~multisection.solver._solve`.
 
-    The loop calls f only at nodes, and keeps their values but not the
-    nodes, which the solver's steps derive from each pass's bracket.  In
-    each pass one loop over the nodes evaluates each, exits on NaN and
-    keeps in locals the first node that departs from ``s``, the sign of
-    f at the bracket's left end (``s*f(x) <= 0``), and the node before
-    it; with none, the subinterval ends at hi, which always departs: the
-    bracket's ends have opposite signs, and each chosen hi departs.  The
-    point before the departing one keeps ``s``, so only the departing node
-    can be an exact zero, which ends the solve (``f_lo`` is never 0: an
-    endpoint zero ends the solve before any pass).  The residual stop's
-    root is its node rebuilt by the same arithmetic.  The closure over a
-    dispatcher rules out numba's on-disk cache, so each (function,
-    process) pair pays one compile; the pair is memoized in ``_compiled``.
+    Each pass's one loop over its nodes builds each node, calls f there,
+    exits on NaN, notes an ``|f|`` at most ``rtol`` > 0 and keeps in
+    locals the first node that departs from ``s``, the sign of f at the
+    bracket's left end (``s*f(x) <= 0``), and the node before it; with
+    none, the pair ends at hi, which always departs (each chosen hi
+    does).  The node before keeps ``s``, so only the departing node can
+    be an exact zero, which ends the solve (an endpoint zero ends it
+    before any pass).  Every return is one ``(exit code, passes run, NaN
+    node)`` tuple, the one type compiled numba allows.  The closure over
+    a dispatcher rules out numba's on-disk cache, so each (function,
+    process) pair pays one compile, memoized in ``_compiled``.
     """
 
     @nb.njit(cache=False)
@@ -129,12 +129,15 @@ def _make_kernel(nb, fj):
             span = hi - lo
             k = sections - 1  # hi, unless a node departs first
             left, right = lo, hi  # the chosen pair's ends
+            near = False  # a node of |f| <= rtol
             for j in range(1, sections):
                 x = lo + (j * span) / sections
                 fx = fj(x)
                 if fx != fx:
-                    return _NAN, x, fx, it
+                    return _NAN, it, x
                 nodes_f[it, j - 1] = fx
+                if rtol > 0.0 and abs(fx) <= rtol:
+                    near = True
                 if k == sections - 1:
                     if s * fx <= 0.0:
                         k, right = j - 1, x
@@ -143,43 +146,22 @@ def _make_kernel(nb, fj):
             chosen_lo[it] = left
             chosen_hi[it] = right
             if k < sections - 1 and nodes_f[it, k] == 0.0:
-                return _EXACT, right, 0.0, it + 1
-            if rtol > 0.0:
-                best = 0
-                for j in range(1, sections - 1):
-                    if abs(nodes_f[it, j]) < abs(nodes_f[it, best]):
-                        best = j
-                if abs(nodes_f[it, best]) <= rtol:
-                    x = lo + ((best + 1) * span) / sections
-                    return _RESIDUAL, x, nodes_f[it, best], it + 1
+                return _EXACT, it + 1, 0.0
+            if near:
+                return _RESIDUAL, it + 1, 0.0
             lo, hi = left, right
-        return _BUDGET, lo + (hi - lo) / 2.0, 0.0, limit
+        return _BUDGET, limit, 0.0
 
     def passes(f, sections, f_lo, lo, hi, limit, rtol):
         # a row per pass the budget allows, and no more; no nodes are kept
         steps = np.empty((limit, sections - 1)), np.empty(limit), np.empty(limit)
-        term, root, residual, iterations = kernel(lo, hi, f_lo, sections, rtol, limit, *steps)
+        term, iterations, nan_node = kernel(lo, hi, f_lo, sections, rtol, limit, *steps)
         if term == _NAN:
-            raise EvaluationError(f"f({root}) is NaN")
+            raise EvaluationError(f"f({nan_node}) is NaN")
         values, chosen_lo, chosen_hi = (rows[:iterations] for rows in steps)
-        return (_STOPS[term], float(root), float(residual),
-                (values, chosen_lo.tolist(), chosen_hi.tolist()))
+        return _STOPS[term], (values, chosen_lo.tolist(), chosen_hi.tolist())
 
     return passes
-
-
-def _compile(problem: Problem):
-    """The jitted f and its passes, or None; see ``_compiled``."""
-    f = problem.f
-    if f not in _compiled:
-        nb = _get_numba()
-        try:
-            fj = nb.njit(cache=True)(f)
-        except Exception:
-            _fall_back(problem)
-        else:
-            _compiled[f] = (fj, _make_kernel(nb, fj))
-    return _compiled[f]
 
 
 def _fall_back(problem: Problem) -> None:
@@ -198,23 +180,31 @@ def _numba_missing() -> None:
 
 
 def solve_numba(problem: Problem, options: SolveOptions) -> Optional[SolveResult]:
-    """Solve on the numba backend; None, logged as the module describes,
-    when numba is missing or f cannot be compiled.
+    """Solve on the numba backend: compile f and its passes once, cache
+    the outcome in ``_compiled``, and return None, logged as the module
+    describes, when numba is missing or f cannot be compiled.
 
     The endpoints and the probe are evaluated with the jitted function
     too, so the whole run sees one evaluation engine.  numba compiles on
     a function's first call, so a failed compile can surface at the first
     endpoint or at the kernel's first call; either falls back."""
-    if _get_numba() is None:
+    nb = _get_numba()
+    if nb is None:
         _numba_missing()
         return None
-    compiled = _compile(problem)
-    if compiled is None:
+    f = problem.f
+    if f not in _compiled:
+        try:
+            fj = nb.njit(cache=True)(f)
+        except Exception:
+            _fall_back(problem)
+        else:
+            _compiled[f] = (fj, _make_kernel(nb, fj))
+    if _compiled[f] is None:
         return None
-    fj, passes = compiled
     try:
-        return _solve(fj, passes, problem.bracket, options)
-    except _get_numba().core.errors.NumbaError:
+        return _solve(*_compiled[f], problem.bracket, options)
+    except nb.core.errors.NumbaError:
         logger.warning("numba compile failed for %r; falling back", problem.id)
         _fall_back(problem)
         return None

@@ -24,9 +24,11 @@ early.  The count is memoised per (width, tolerance, N), so back-to-back
 solves of one bracket count it once.
 
 One driver, :func:`_solve`, does for every backend what surrounds the
-passes: the endpoint checks, the pass budget, the probe of f at the root
-and the :class:`SolveResult`.  A backend supplies only its passes, with
-:func:`_multisect`'s signature and return.
+passes: the endpoint checks, the pass budget, the root and residual of
+every stop, the probe of f at the root and the :class:`SolveResult`.  A
+backend supplies only its passes, with :func:`_multisect`'s signature
+and return: how they stopped and their steps, from which the driver
+derives the root.  A zero budget runs no backend.
 
 A node value that is exactly zero terminates immediately.  The zero node
 is reported as the root and recorded as the right endpoint of the chosen
@@ -34,25 +36,17 @@ subinterval (sign 0 differs from the nonzero sign to its left), so every
 iteration record — including the last one of an exact-zero run — carries a
 genuine subinterval of 1/N the parent width.
 
-One loop per solve, :func:`_multisect`, runs all of a solve's passes in
-one call, with what stays fixed within a solve (numpy's functions, the
-result shape, the pass, the departure test, ``float(N)`` and the node
-index) bound once as its locals.  The node index is the float array
-``1.0 .. N - 1``, taken as a list of Python floats by the list and
-per-node passes: each index is exact, so every node has the bits of the
-int-index formula, and ``i * span`` is a float product, which the
-interpreter multiplies faster than an int by a float.  Each pass calls
-f once, on an array of its nodes.  Up to :data:`LIST_PASS_MAX_SECTIONS`
-sections the pass builds the nodes and scans their values as Python
-floats around that call (numpy's per-call overhead dominates on a
-handful of nodes); above it, numpy builds the nodes and does the NaN
-check and the sign scan.
-Once f rejects an array, every later pass runs over Python floats with
-one call per node and no numpy in the loop.  All passes share the rule
-that picks the chosen subinterval, so they give bit-identical results
-whenever f returns the same bits for a float as for an array.  A bracket
-whose ``(N - 1) * width`` overflows is refused with :class:`DomainError`,
-so no node ever falls outside its bracket.
+One loop per solve, :func:`_multisect`, runs the numpy backend's passes.
+Up to :data:`LIST_PASS_MAX_SECTIONS` sections a pass builds and scans its
+nodes as Python floats around one array call of f; above it numpy does;
+once f rejects an array, every later pass calls f once per node.  Every
+pass builds its nodes by the pinned arithmetic with the float index
+``1.0 .. N - 1`` (each index exact, so the nodes have the bits of the
+int-index formula) and picks the chosen subinterval by one rule, so the
+passes give bit-identical results whenever f returns the same bits for a
+float as for an array.  A bracket whose ``(N - 1) * width`` overflows is
+refused with :class:`DomainError`, so no node ever falls outside its
+bracket, as is an N whose ``N - 1`` nodes one float64 array cannot hold.
 
 A solve keeps each iteration's node values and the chosen endpoints as
 they are (arrays from the array pass, lists from the list pass), and no
@@ -380,15 +374,19 @@ def _same_steps(a: Optional[Steps], b: Optional[Steps]) -> bool:
     )
 
 
+def _check_endpoints_not_nan(bracket: Interval, f_lo: float, f_hi: float) -> None:
+    """Raise :class:`EvaluationError` naming the first NaN endpoint."""
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise EvaluationError(f"f({bracket.lo if math.isnan(f_lo) else bracket.hi}) is NaN")
+
+
 def _validate_endpoints(f: Callable[[float], float], bracket: Interval) -> tuple[float, float]:
     """Evaluate f at the bracket endpoints once, validating as we go, and
     return both values."""
     lo, hi = bracket.lo, bracket.hi
     f_lo = float(f(lo))
     f_hi = float(f(hi))
-    if math.isnan(f_lo) or math.isnan(f_hi):
-        bad = lo if math.isnan(f_lo) else hi
-        raise EvaluationError(f"f({bad}) is NaN")
+    _check_endpoints_not_nan(bracket, f_lo, f_hi)
     if sign(f_lo) == sign(f_hi):
         raise BracketError(
             f"f does not change sign over [{lo}, {hi}]: "
@@ -428,18 +426,23 @@ def _departure(f_lo: float):
 
 def _check_nodes_finite(interval: Interval, sections: int) -> None:
     """Raise :class:`DomainError` unless ``(N - 1) * width`` is finite,
-    which keeps every pinned ``j * span`` finite and each node in [lo, hi]."""
+    which keeps every pinned ``j * span`` finite and each node in [lo, hi],
+    and unless a pass's ``N - 1`` nodes fit in one float64 array: at most
+    ``sys.maxsize // 8``, the most 8-byte items numpy can address."""
     if not math.isfinite((sections - 1) * interval.width):
         raise DomainError(
             f"the nodes of [{interval.lo}, {interval.hi}] at {sections} sections "
             f"overflow: (sections - 1) * width must be finite"
         )
+    if sections - 1 > sys.maxsize // 8:
+        raise DomainError(f"{sections} sections make {sections - 1} nodes per pass; at most "
+                          f"{sys.maxsize // 8} nodes per pass fit in one float64 array")
 
 
 def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
                lo: float, hi: float, limit: int, rtol: float = 0.0):
-    """Run up to ``limit`` N-section passes in one frame, the first over
-    [lo, hi] and each later one over the pair the one before it chose.
+    """Run up to ``limit`` >= 1 N-section passes in one frame, the first
+    over [lo, hi] and each later one over the pair the one before it chose.
 
     Each pass keeps the leftmost pair of adjacent points (endpoints
     included) whose signs differ: f at ``lo`` has the sign of ``f_lo``, so
@@ -447,22 +450,18 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     A NaN node raises :class:`EvaluationError` that names the first NaN
     node, before the departure scan; the array pass finds it with one
     ``argmax`` over the values, which returns the first NaN's index when
-    there is one, and builds no boolean array.  Returns the stop, the
-    root, its residual and the three step lists (the values, the chosen
-    lo and hi; the nodes are not kept): ``ExactZero`` at a zero
-    node, ``ResidualReached`` at the first node of least ``|f|`` when
-    that is at most ``rtol`` > 0, else None with the last pair's midpoint
-    and no residual.  What is fixed within a solve is bound once, after
-    the zero-pass return, the node index among it: ``1.0 .. N - 1`` as
-    floats, an array for the array pass and a list of Python floats for
-    the others.  The first time f rejects the node array (any exception
-    but :class:`EvaluationError`, or a result of the wrong shape), that
-    pass and every later one call f once per node, over the index as a
-    list.
+    there is one, and builds no boolean array.  Returns the stop and the
+    three step lists (the values, the chosen lo and hi; the nodes are not
+    kept), from which :func:`_solve` derives the root: ``ExactZero`` at a
+    zero node, ``ResidualReached`` when some node's ``|f|`` is at most
+    ``rtol`` > 0, else None.  What is fixed within a solve is bound once,
+    the node index among it: ``1.0 .. N - 1`` as floats, an array for the
+    array pass and a list of Python floats for the others.  The first
+    time f rejects the node array (any exception but
+    :class:`EvaluationError`, or a result of the wrong shape), that pass
+    and every later one call f once per node, over the index as a list.
     """
     steps = nodes_f, chosen_lo, chosen_hi = [], [], []
-    if not limit:
-        return None, lo + (hi - lo) / 2.0, None, steps
     asarray, array_of, float64, isnan = np.asarray, np.array, np.float64, math.isnan
     shape = (sections - 1,)
     departs = _departure(f_lo)
@@ -530,12 +529,10 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
         chosen_lo.append(lo)
         chosen_hi.append(hi)
         if k is not None and fs[k] == 0.0:
-            return Termination.EXACT_ZERO, hi, 0.0, steps
-        if rtol > 0.0:
-            best = _first_smallest(fs)
-            if abs(fs[best]) <= rtol:
-                return Termination.RESIDUAL_REACHED, float(xs[best]), float(fs[best]), steps
-    return None, lo + (hi - lo) / 2.0, None, steps
+            return Termination.EXACT_ZERO, steps
+        if rtol > 0.0 and abs(fs[_first_smallest(fs)]) <= rtol:
+            return Termination.RESIDUAL_REACHED, steps
+    return None, steps
 
 
 def multisect_step(
@@ -554,8 +551,10 @@ def multisect_step(
     re-evaluation; otherwise they are computed here.  A zero ``f_lo``
     makes the chosen lo the exact root, as does a zero ``f_hi`` the
     chosen hi when no node departs.  Raises :class:`DomainError` when a
-    node would overflow, and :class:`NoSignChangeError` when the endpoint
-    values and every node share one sign.
+    node would overflow or not fit in one array, before f is called,
+    :class:`EvaluationError` naming a NaN endpoint, as :func:`solve` does,
+    and :class:`NoSignChangeError` when the endpoint values and every
+    node share one sign.
     """
     check_integer(sections, "sections")
     _check_nodes_finite(interval, sections)
@@ -563,12 +562,10 @@ def multisect_step(
         f_lo = float(f(interval.lo))
     if f_hi is None:
         f_hi = float(f(interval.hi))
-    if math.isnan(f_lo) or math.isnan(f_hi):
-        raise EvaluationError("endpoint function value is NaN")
+    _check_endpoints_not_nan(interval, f_lo, f_hi)
     departs = _departure(f_lo)
-    stop, root, _, ((fs,), (lo,), (hi,)) = _multisect(f, sections, f_lo, interval.lo,
-                                                     interval.hi, 1)
-    exact = None if stop is None else root
+    stop, ((fs,), (lo,), (hi,)) = _multisect(f, sections, f_lo, interval.lo, interval.hi, 1)
+    exact = None if stop is None else hi
     if not any(departs(fx, 0.0) for fx in fs):
         # the chosen pair is the last node and interval.hi
         if not departs(f_hi, 0.0):
@@ -645,8 +642,9 @@ def solve(
     kernel producing the same records), or None to defer to the
     MULTISECTION_BACKEND environment variable, read on every call, and
     then to auto-detection.  See :mod:`multisection.kernels`.  A bracket
-    whose nodes at ``options.sections`` would overflow raises
-    :class:`DomainError` before any backend runs.
+    whose nodes at ``options.sections`` would overflow, or would not fit
+    in one array, raises :class:`DomainError` before any backend runs and
+    before f is called.
     """
     if options is None:
         options = SolveOptions()
@@ -671,12 +669,12 @@ def _solve(f: Callable[[float], float], passes, bracket: Interval,
            options: SolveOptions) -> SolveResult:
     """The one solve driver, for every backend: check the endpoints (a
     zero there is a zero-iteration ``ExactZero`` result), fix the pass
-    budget, run ``passes(f, sections, f_lo, lo, hi, limit, rtol)``, probe
-    f at the root when that returns no stop, and build the result.
-    ``passes`` returns what :func:`_multisect` returns: the stop or None,
-    the root, its residual, and three sequences with one entry per pass
-    run (the values at the nodes, the chosen lo and hi), from which
-    :class:`Steps` derives the nodes."""
+    budget, run ``passes(f, sections, f_lo, lo, hi, limit, rtol)`` unless
+    it is 0, and derive the root from the stop and steps it returns in
+    :func:`_multisect`'s shape: with no stop, the midpoint of the last chosen
+    pair (or of the bracket), with f probed there for the residual; at
+    ``ExactZero``, the last chosen hi; at ``ResidualReached``, the last
+    pass's first node of least ``|f|``, whose value is the residual."""
     f_lo, f_hi = _validate_endpoints(f, bracket)
     if f_lo == 0.0 or f_hi == 0.0:
         return SolveResult(root=bracket.lo if f_lo == 0.0 else bracket.hi, residual=0.0,
@@ -685,17 +683,26 @@ def _solve(f: Callable[[float], float], passes, bracket: Interval,
 
     sections = options.sections
     limit, termination = _budget(bracket, options)
-    stop, root, residual, steps = passes(f, sections, f_lo, bracket.lo, bracket.hi,
-                                         limit, options.residual_tolerance)
-    if stop is None:  # every pass ran
-        residual = float(f(root))  # diagnostic probe, not counted
+    lo, hi = bracket.lo, bracket.hi
+    if limit:
+        stop, steps = passes(f, sections, f_lo, lo, hi, limit, options.residual_tolerance)
     else:
-        termination = stop
-    iterations = len(steps[0])
+        stop, steps = None, ([], [], [])
+    steps = Steps(bracket, _Nodes(bracket, *steps), *steps)
+    iterations = len(steps.nodes_f)
+    if stop is None:  # every pass ran
+        if iterations:
+            lo, hi = steps.chosen_lo[-1], steps.chosen_hi[-1]
+        root = lo + (hi - lo) / 2.0
+        residual = float(f(root))  # diagnostic probe, not counted
+    elif stop is Termination.EXACT_ZERO:
+        root, residual = steps.chosen_hi[-1], 0.0
+    else:  # ResidualReached
+        best = _first_smallest(steps.nodes_f[-1])
+        root, residual = float(steps.nodes_x[-1][best]), float(steps.nodes_f[-1][best])
     return SolveResult(root=root, residual=residual, iterations=iterations,
                        function_evaluations=2 + (sections - 1) * iterations,
-                       termination=termination,
-                       steps=Steps(bracket, _Nodes(bracket, *steps), *steps))
+                       termination=stop or termination, steps=steps)
 
 
 # last: kernels imports this module's types

@@ -74,6 +74,12 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert err.startswith("multisection: error: sections must be at most")
 
+    def test_more_nodes_than_one_array_holds_exits_3(self, capsys):
+        code, out, err = run(capsys, "solve", "--corpus", "3", "--sections", str(2 ** 62))
+        assert (code, out) == (3, "")
+        assert err.startswith("multisection: error: 4611686018427387904 sections make "
+                              "4611686018427387903 nodes per pass")
+
     def test_bad_corpus_index_exits_3(self, capsys):
         code, _, err = run(capsys, "solve", "--corpus", "99")
         assert code == 3

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from multisection import kernels, solver
 from multisection.bench import SweepConfig
 from multisection.solver import LIST_PASS_MAX_SECTIONS, Steps
 from test_contract import (PATHS, Recording, ScalarOnly, check, fields, linear, outcome,
-                           take, textbook_multisection)
+                           take, textbook_multisection, use_interpreted_numba)
 
 MU = 2.0 ** -52
 
@@ -192,6 +193,18 @@ class TestMultisectStep:
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChangeError):
             multisect_step(Interval(0.0, 1.0), lambda x: x + 1.0, 4)
+
+    @pytest.mark.parametrize("f,given,end", [
+        (lambda x: math.nan if x == 0.0 else x - 0.5, {}, "0.0"),
+        (lambda x: x - 0.5, {"f_hi": math.nan}, "1.0"),
+    ], ids=["nan-f-at-lo", "given-nan-f_hi"])
+    def test_a_nan_endpoint_is_named_as_solve_names_it(self, f, given, end):
+        message = rf"^f\({end}\) is NaN$"
+        with pytest.raises(EvaluationError, match=message):
+            multisect_step(Interval(0.0, 1.0), f, 3, **given)
+        if not given:  # the same f and bracket, solved
+            with pytest.raises(EvaluationError, match=message):
+                solve(Problem("nan-lo", f, Interval(0.0, 1.0)))
 
 
 class TestPredictedIterations:
@@ -734,6 +747,26 @@ class TestHugeBrackets:
             multisect_step(problem.bracket, f, sections)
         assert calls == []
 
+    @pytest.mark.parametrize("path", ["numpy", "kernel"])
+    def test_more_nodes_than_one_array_holds_is_a_domain_error(self, monkeypatch, path):
+        # 2**62 sections make more nodes than sys.maxsize // 8, the most
+        # float64 values one array can address: refused before f is called
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return corpus()[2].f(x)
+
+        problem, options = Problem("huge-n", f, corpus()[2].bracket), SolveOptions(2 ** 62)
+        if path == "kernel":
+            use_interpreted_numba(monkeypatch)
+        with pytest.raises(DomainError, match=r"4611686018427387903 nodes per pass; at "
+                                              rf"most {sys.maxsize // 8} nodes per pass"):
+            solve(problem, options, backend="numba" if path == "kernel" else "numpy")
+        with pytest.raises(DomainError, match="nodes per pass"):
+            multisect_step(problem.bracket, f, options.sections)
+        assert calls == []
+
     def test_a_section_count_beyond_binary64_is_a_domain_error(self):
         # 10**400 sections fail the count check; nothing is built or called
         calls = []
@@ -981,6 +1014,50 @@ class TestMemoisedBudget:
             result = solve(Problem("int-ends", lambda x: x - 1.0, bracket),
                            SolveOptions(sections=sections))
             assert result.iterations <= count
+
+
+class TestZeroBudget:
+    """A pass budget of 0 runs no pass loop on either backend: the root is
+    the bracket's midpoint, probed for its residual, as a numpy solve's."""
+
+    @pytest.fixture(params=[SolveOptions(sections=3, max_iterations=0),
+                            SolveOptions(sections=3, width_tolerance=4.0)],
+                    ids=["cap0", "under-tolerance"])
+    def case(self, request):
+        problem, options = corpus()[2], request.param
+        reference = solve(problem, options, backend="numpy")
+        assert (reference.root, reference.iterations, reference.function_evaluations) == \
+            (problem.bracket.midpoint(), 0, 2)
+        assert reference.residual == problem.f(problem.bracket.midpoint())
+        return problem, options, reference
+
+    def test_the_numpy_backend_runs_no_pass_loop(self, monkeypatch, case):
+        problem, options, reference = case
+        calls = []
+        multisect = solver._multisect
+
+        def recording(*args):
+            calls.append(args)
+            return multisect(*args)
+
+        monkeypatch.setattr(solver, "_multisect", recording)
+        assert solve(problem, options, backend="numpy") == reference
+        assert calls == []
+
+    def test_the_kernel_allocates_nothing(self, monkeypatch, case):
+        problem, options, reference = case
+        use_interpreted_numba(monkeypatch)
+        shapes = []
+        empty = kernels.np.empty
+
+        def recording(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "empty", recording)
+        assert solve(problem, options, backend="numba") == reference
+        assert kernels._compiled[problem.f] is not None  # the numba path ran
+        assert shapes == []
 
 
 class TestSolveResultInit:
