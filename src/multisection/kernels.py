@@ -9,15 +9,12 @@ comes from one driver, :func:`multisection.solver._solve`, whichever
 backend ran.  Two engines supply the passes:
 
 * ``"numpy"`` — :func:`multisection.solver._multisect`, which evaluates
-  each iteration's nodes with one vectorized call.
-* ``"numba"`` — a compiled kernel built per target function by closing a
-  nopython loop over the jitted callable.  It keeps the numpy passes'
-  node arithmetic and departure rule: every chosen left end keeps the
-  sign ``s`` of f at the bracket's left end, so the chosen subinterval
-  ends at the first node with ``s*f(x) <= 0``, else at hi.  It fills the
-  arrays of values and chosen ends the solver builds every backend's
-  trace from (no backend keeps its nodes), so results agree with the
-  numpy path apart from last-ulp libm differences in f itself.
+  each iteration's nodes with one vectorized call, and once f rejects an
+  array runs :func:`multisection.solver._node_loop` uncompiled.
+* ``"numba"`` — that same scalar node loop, closed over the jitted f and
+  compiled once per target function.  It fills the arrays of values and
+  chosen ends the solver builds every backend's trace from, so results
+  agree with the numpy path apart from last-ulp libm differences in f.
 
 Selection order: an explicit ``backend=`` argument, then the
 MULTISECTION_BACKEND environment variable, then auto-detection (numba if
@@ -40,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
-from .solver import Problem, SolveOptions, SolveResult, Termination, _solve
+from .errors import DomainError
+from .solver import Problem, SolveOptions, SolveResult, _node_loop, _run_node_loop, _solve
 
 logger = logging.getLogger(__name__)
 
@@ -49,11 +46,6 @@ logger = logging.getLogger(__name__)
 BACKEND_ENV = "MULTISECTION_BACKEND"
 
 VALID_BACKENDS = ("numba", "numpy")
-
-# Kernel exit codes: every pass of the budget ran, an exact zero, the
-# residual stop (these three index the passes' stops), a NaN node.
-_BUDGET, _EXACT, _RESIDUAL, _NAN = range(4)
-_STOPS = (None, Termination.EXACT_ZERO, Termination.RESIDUAL_REACHED)
 
 # f -> (jitted f, its passes), or None when numba cannot jit f; a
 # compile that fails on the first call replaces the pair by None.
@@ -103,63 +95,20 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 
 
 def _make_kernel(nb, fj):
-    """The numba backend's passes, with
-    :func:`~multisection.solver._multisect`'s signature and return (the
-    stop and the steps): one row of values per budgeted pass, filled by a
-    nopython loop closed over the jitted function.  Every root and
-    residual comes from :func:`~multisection.solver._solve`.
-
-    Each pass's one loop over its nodes builds each node, calls f there,
-    exits on NaN, notes an ``|f|`` at most ``rtol`` > 0 and keeps in
-    locals the first node that departs from ``s``, the sign of f at the
-    bracket's left end (``s*f(x) <= 0``), and the node before it; with
-    none, the pair ends at hi, which always departs (each chosen hi
-    does).  The node before keeps ``s``, so only the departing node can
-    be an exact zero, which ends the solve (an endpoint zero ends it
-    before any pass).  Every return is one ``(exit code, passes run, NaN
-    node)`` tuple, the one type compiled numba allows.  The closure over
-    a dispatcher rules out numba's on-disk cache, so each (function,
-    process) pair pays one compile, memoized in ``_compiled``.
+    """The numba backend's passes, with :func:`~multisection.solver._multisect`'s
+    signature and return: :func:`~multisection.solver._node_loop` over the
+    jitted f, compiled, filling a row of a 2-D array per budgeted pass.
+    The closure over a dispatcher rules out numba's on-disk cache, so each
+    (function, process) pair pays one compile, memoized in ``_compiled``.
     """
-
-    @nb.njit(cache=False)
-    def kernel(lo, hi, f_lo, sections, rtol, limit, nodes_f, chosen_lo, chosen_hi):
-        s = -1.0 if f_lo < 0.0 else 1.0
-        for it in range(limit):
-            span = hi - lo
-            k = sections - 1  # hi, unless a node departs first
-            left, right = lo, hi  # the chosen pair's ends
-            near = False  # a node of |f| <= rtol
-            for j in range(1, sections):
-                x = lo + (j * span) / sections
-                fx = fj(x)
-                if fx != fx:
-                    return _NAN, it, x
-                nodes_f[it, j - 1] = fx
-                if rtol > 0.0 and abs(fx) <= rtol:
-                    near = True
-                if k == sections - 1:
-                    if s * fx <= 0.0:
-                        k, right = j - 1, x
-                    else:
-                        left = x
-            chosen_lo[it] = left
-            chosen_hi[it] = right
-            if k < sections - 1 and nodes_f[it, k] == 0.0:
-                return _EXACT, it + 1, 0.0
-            if near:
-                return _RESIDUAL, it + 1, 0.0
-            lo, hi = left, right
-        return _BUDGET, limit, 0.0
+    kernel = nb.njit(cache=False)(_node_loop(fj))
 
     def passes(f, sections, f_lo, lo, hi, limit, rtol):
         # a row per pass the budget allows, and no more; no nodes are kept
         steps = np.empty((limit, sections - 1)), np.empty(limit), np.empty(limit)
-        term, iterations, nan_node = kernel(lo, hi, f_lo, sections, rtol, limit, *steps)
-        if term == _NAN:
-            raise EvaluationError(f"f({nan_node}) is NaN")
-        values, chosen_lo, chosen_hi = (rows[:iterations] for rows in steps)
-        return _STOPS[term], (values, chosen_lo.tolist(), chosen_hi.tolist())
+        stop, (values, chosen_lo, chosen_hi) = _run_node_loop(
+            kernel, sections, f_lo, lo, hi, limit, rtol, steps)
+        return stop, (values, chosen_lo.tolist(), chosen_hi.tolist())
 
     return passes
 

@@ -38,23 +38,22 @@ genuine subinterval of 1/N the parent width.
 
 One loop per solve, :func:`_multisect`, runs the numpy backend's passes.
 Up to :data:`LIST_PASS_MAX_SECTIONS` sections a pass builds and scans its
-nodes as Python floats around one array call of f; above it numpy does;
-once f rejects an array, every later pass calls f once per node.  Every
-pass builds its nodes by the pinned arithmetic with the float index
-``1.0 .. N - 1`` (each index exact, so the nodes have the bits of the
-int-index formula) and picks the chosen subinterval by one rule, so the
-passes give bit-identical results whenever f returns the same bits for a
-float as for an array.  A bracket whose ``(N - 1) * width`` overflows is
-refused with :class:`DomainError`, so no node ever falls outside its
-bracket, as is an N whose ``N - 1`` nodes one float64 array cannot hold.
+nodes as Python floats around one array call of f; above it numpy does.
+Once f rejects an array, the rest of the budget runs in
+:func:`_node_loop`, the one scalar loop, which calls f once per node and
+is what the numba backend compiles.  Every pass builds its nodes by the
+pinned arithmetic with the float index ``1.0 .. N - 1`` (each exact, so
+the nodes have the int-index formula's bits) and picks the chosen
+subinterval by one rule, so the passes give bit-identical results
+whenever f returns the same bits for a float as for an array.  A bracket
+whose ``(N - 1) * width`` overflows, or whose ``N - 1`` nodes one
+float64 array cannot hold, is refused with :class:`DomainError`.
 
-A solve keeps each iteration's node values and the chosen endpoints as
-they are (arrays from the array pass, lists from the list pass), and no
-nodes: a pass's nodes are a function of its bracket and N by the pinned
-arithmetic, so :attr:`Steps.nodes_x` derives them on read.  The
+A solve keeps each pass's values (an array or a list of floats, as the
+pass made them) and chosen ends, and no nodes: :attr:`Steps.nodes_x`
+derives them on read from each pass's bracket and N.  The
 :class:`IterationRecord` trace is built from the steps on the first read
-of :attr:`SolveResult.trace`, so a caller that never reads it never pays
-for it.
+of :attr:`SolveResult.trace`.
 """
 
 from __future__ import annotations
@@ -415,12 +414,11 @@ LIST_PASS_MAX_SECTIONS = 12
 
 
 def _departure(f_lo: float):
-    """The departure test of a bracket whose left end has f value
-    ``f_lo``: ``le``, ``ge`` or ``ne`` against 0.0, on one float or
-    elementwise on an array.  Every chosen subinterval's left end keeps
+    """The departure test against 0.0 of a bracket whose left end has f
+    value ``f_lo``, on a float or elementwise: every chosen left end keeps
     the sign of ``f_lo`` and its right end departs from it (a zero there
-    ends the solve), so the first node whose value departs closes the
-    leftmost sign change."""
+    ends the solve), so the first node that departs closes the leftmost
+    sign change."""
     return le if f_lo > 0.0 else ge if f_lo < 0.0 else ne
 
 
@@ -439,6 +437,72 @@ def _check_nodes_finite(interval: Interval, sections: int) -> None:
                           f"{sys.maxsize // 8} nodes per pass fit in one float64 array")
 
 
+# The node loop's exit codes: every pass of the budget ran, an exact zero,
+# the residual stop (these three index the passes' stops), a NaN node.
+_BUDGET, _EXACT, _RESIDUAL, _NAN = range(4)
+_STOPS = (None, Termination.EXACT_ZERO, Termination.RESIDUAL_REACHED)
+
+
+def _node_loop(f):
+    """The one scalar node loop over f: the numpy backend's passes once f
+    rejects an array, as Python, and the numba backend's, compiled, so
+    ``kernel`` keeps to numba's nopython mode.  Each of up to ``limit``
+    passes fills a row of ``nodes_f`` (a list, or a 2-D array's row) and
+    its chosen ends: the pair ends at the first node that departs from
+    ``s``, the sign of ``f_lo`` (``s*f(x) <= 0``; ``f(x) != 0`` when ``s``
+    is 0), else at hi.  Only that node can be an exact zero, which ends
+    the passes, as does an ``|f|`` at most ``rtol`` > 0, or a NaN once its
+    pass is done.  Every return is one ``(exit code, passes run, first NaN
+    node)`` tuple, the one type compiled numba allows."""
+
+    def kernel(lo, hi, f_lo, sections, rtol, limit, nodes_f, chosen_lo, chosen_hi):
+        s = -1.0 if f_lo < 0.0 else 1.0 if f_lo > 0.0 else 0.0
+        top = sections - 1
+        n = float(sections)  # float i and n: the int formula's bits, fast uncompiled
+        for it in range(limit):
+            span = hi - lo
+            row = nodes_f[it]
+            k = top  # hi, unless a node departs first
+            left, right = lo, hi  # the chosen pair's ends
+            i = 0.0
+            for j in range(top):
+                i += 1.0
+                x = lo + (i * span) / n
+                fx = float(f(x))
+                row[j] = fx
+                if k == top:
+                    if s * fx <= 0.0 if s else fx != 0.0:
+                        k, right = j, x
+                    else:
+                        left = x
+            i = 0.0
+            for fx in row:
+                i += 1.0
+                if fx != fx:
+                    return _NAN, it, lo + (i * span) / n
+            chosen_lo[it] = left
+            chosen_hi[it] = right
+            if k < top and row[k] == 0.0:
+                return _EXACT, it + 1, 0.0
+            if rtol > 0.0:
+                for fx in row:
+                    if abs(fx) <= rtol:
+                        return _RESIDUAL, it + 1, 0.0
+            lo, hi = left, right
+        return _BUDGET, limit, 0.0
+
+    return kernel
+
+
+def _run_node_loop(kernel, sections, f_lo, lo, hi, limit, rtol, steps):
+    """Run a :func:`_node_loop` into ``steps``, rows for ``limit`` passes;
+    return the stop and the rows filled, or raise at the first NaN node."""
+    term, iterations, nan_node = kernel(lo, hi, f_lo, sections, rtol, limit, *steps)
+    if term == _NAN:
+        raise EvaluationError(f"f({nan_node}) is NaN")
+    return _STOPS[term], [rows[:iterations] for rows in steps]
+
+
 def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
                lo: float, hi: float, limit: int, rtol: float = 0.0):
     """Run up to ``limit`` >= 1 N-section passes in one frame, the first
@@ -449,17 +513,13 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     the pair ends at the first node that departs from it, or at ``hi``.
     A NaN node raises :class:`EvaluationError` that names the first NaN
     node, before the departure scan; the array pass finds it with one
-    ``argmax`` over the values, which returns the first NaN's index when
-    there is one, and builds no boolean array.  Returns the stop and the
-    three step lists (the values, the chosen lo and hi; the nodes are not
-    kept), from which :func:`_solve` derives the root: ``ExactZero`` at a
-    zero node, ``ResidualReached`` when some node's ``|f|`` is at most
-    ``rtol`` > 0, else None.  What is fixed within a solve is bound once,
-    the node index among it: ``1.0 .. N - 1`` as floats, an array for the
-    array pass and a list of Python floats for the others.  The first
-    time f rejects the node array (any exception but
+    ``argmax``, which returns the first NaN's index when there is one.
+    Returns the stop and the step lists (the values and the chosen lo and
+    hi), from which :func:`_solve` derives the root: ``ExactZero`` at a
+    zero node, ``ResidualReached`` when some ``|f|`` is at most ``rtol``
+    > 0, else None.  Once f rejects the node array (any exception but
     :class:`EvaluationError`, or a result of the wrong shape), that pass
-    and every later one call f once per node, over the index as a list.
+    and the rest of the budget run in :func:`_node_loop`, uncompiled.
     """
     steps = nodes_f, chosen_lo, chosen_hi = [], [], []
     asarray, array_of, float64, isnan = np.asarray, np.array, np.float64, math.isnan
@@ -468,14 +528,12 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
     # dividing by the float gives the bits of dividing by the int
     n = float(sections)
     array_pass = sections > LIST_PASS_MAX_SECTIONS
-    vectorized = True
-    # the node index as floats: each is exact, so i * span has the bits
-    # of the int product, and a float pair takes the interpreter's fast
-    # float multiply
+    # the node index as floats: each is exact, so i * span has the int
+    # product's bits, by the interpreter's fast float multiply
     j = np.arange(1, sections, dtype=float64)
     if not array_pass:
         j = j.tolist()
-    for _ in range(limit):
+    for it in range(limit):
         # node arithmetic is pinned so every pass and backend sees
         # bit-identical abscissas: the same three operations in order
         if array_pass:
@@ -483,19 +541,18 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
         else:
             span = hi - lo
             xs = [lo + (i * span) / n for i in j]
-        if vectorized:
-            array = xs if array_pass else array_of(xs)
-            try:
-                fs = asarray(f(array), dtype=float64)
-            except EvaluationError:
-                raise
-            except Exception:
-                fs = None
-            if fs is None or fs.shape != shape:
-                if array_pass:
-                    j = j.tolist()
-                vectorized = array_pass = False
-                xs = array.tolist()
+        try:
+            fs = asarray(f(xs if array_pass else array_of(xs)), dtype=float64)
+        except EvaluationError:
+            raise
+        except Exception:
+            fs = None
+        if fs is None or fs.shape != shape:
+            # f rejects arrays: the rest of the budget runs node by node
+            rows = limit - it
+            stop, rest = _run_node_loop(_node_loop(f), sections, f_lo, lo, hi, rows, rtol, (
+                [[0.0] * (sections - 1) for _ in range(rows)], [0.0] * rows, [0.0] * rows))
+            return stop, [kept + more for kept, more in zip(steps, rest)]
         if array_pass:
             # argmax returns the index of the first NaN when there is one
             k = fs.argmax()
@@ -506,7 +563,7 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
             if not hits[k]:
                 k = None
         else:
-            fs = fs.tolist() if vectorized else [float(f(x)) for x in xs]
+            fs = fs.tolist()
             if any(map(isnan, fs)):
                 first_nan = next(x for x, fx in zip(xs, fs) if isnan(fx))
                 raise EvaluationError(f"f({first_nan}) is NaN")
@@ -523,14 +580,14 @@ def _multisect(f: Callable[[float], float], sections: int, f_lo: float,
             if k > 0:
                 lo = xs[k - 1]
             hi = xs[k]
-        if array_pass:  # the list passes' nodes are Python floats already
+        if array_pass:  # the list pass's nodes are Python floats already
             lo, hi = float(lo), float(hi)
         nodes_f.append(fs)
         chosen_lo.append(lo)
         chosen_hi.append(hi)
         if k is not None and fs[k] == 0.0:
             return Termination.EXACT_ZERO, steps
-        if rtol > 0.0 and abs(fs[_first_smallest(fs)]) <= rtol:
+        if rtol > 0.0 and (abs(fs).min() if array_pass else min(map(abs, fs))) <= rtol:
             return Termination.RESIDUAL_REACHED, steps
     return None, steps
 
@@ -656,15 +713,6 @@ def solve(
     return _solve(problem.f, _multisect, problem.bracket, options)
 
 
-def _first_smallest(fs) -> int:
-    """The index of the first of the values of least magnitude: numpy's
-    ``argmin`` on an array, plain Python on a list."""
-    if isinstance(fs, np.ndarray):
-        return int(np.abs(fs).argmin())
-    magnitudes = list(map(abs, fs))
-    return magnitudes.index(min(magnitudes))
-
-
 def _solve(f: Callable[[float], float], passes, bracket: Interval,
            options: SolveOptions) -> SolveResult:
     """The one solve driver, for every backend: check the endpoints (a
@@ -698,7 +746,7 @@ def _solve(f: Callable[[float], float], passes, bracket: Interval,
     elif stop is Termination.EXACT_ZERO:
         root, residual = steps.chosen_hi[-1], 0.0
     else:  # ResidualReached
-        best = _first_smallest(steps.nodes_f[-1])
+        best = int(np.abs(steps.nodes_f[-1]).argmin())  # the first of least |f|
         root, residual = float(steps.nodes_x[-1][best]), float(steps.nodes_f[-1][best])
     return SolveResult(root=root, residual=residual, iterations=iterations,
                        function_evaluations=2 + (sections - 1) * iterations,

@@ -6,12 +6,15 @@ differ by a few ulps only because the two backends' transcendental
 libraries round differently.
 """
 
+import ast
 import functools
+import inspect
 import logging
 import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -30,8 +33,9 @@ from multisection import (
     solve,
     verify_error_bounds,
 )
-from multisection import kernels
-from test_contract import CASES, InterpretedNumba, check, outcome, use_interpreted_numba
+from multisection import kernels, solver
+from test_contract import (CASES, InterpretedNumba, check, node, outcome,
+                           use_interpreted_numba)
 
 ENV = "MULTISECTION_BACKEND"
 
@@ -251,6 +255,55 @@ class TestInterpretedKernel:
             reference = verify_error_bounds(problem, sections, backend="numpy")
             assert compiled == reference
             assert all(type(m) is float for m in compiled.margins)
+
+    def test_a_nan_pass_calls_f_at_every_node(self):
+        # the node loop finishes the pass before it names the first NaN,
+        # as the per-node path does: 2 + (N - 1) calls, not 2 + 4
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan if x in (node(4, 10), node(7, 10)) else x - 0.6
+
+        with pytest.raises(EvaluationError) as raised:
+            solve(Problem("nan", f, Interval(0.0, 1.0)), SolveOptions(sections=10),
+                  backend="numba")
+        assert kernels._compiled[f] is not None  # the kernel ran
+        assert str(raised.value) == f"f({node(4, 10)}) is NaN"
+        assert calls == [0.0, 1.0] + [node(j, 10) for j in range(1, 10)]
+
+
+class TestNodeLoopSyntax:
+    """The one scalar node loop is what numba compiles, but without numba
+    it runs only as Python, which also runs much that nopython mode
+    rejects.  So its syntax is held to what the compiled kernel needs."""
+
+    @pytest.fixture(scope="class")
+    def loop(self):
+        kernel = solver._node_loop(math.sin)
+        assert kernel.__name__ == "kernel"  # the name the compile-failure stand-in reads
+        return ast.parse(textwrap.dedent(inspect.getsource(kernel))).body[0]
+
+    def test_it_calls_only_f_float_abs_and_range(self, loop):
+        called = [n.func for n in ast.walk(loop) if isinstance(n, ast.Call)]
+        assert called and all(type(func) is ast.Name for func in called)  # no method call
+        assert {func.id for func in called} <= {"f", "float", "abs", "range"}
+
+    def test_it_has_no_comprehension_try_or_container(self, loop):
+        banned = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda,
+                  ast.Try, ast.With, ast.Raise, ast.List, ast.Set, ast.Dict, ast.Delete,
+                  ast.Starred, ast.JoinedStr, ast.Yield, ast.Global, ast.Nonlocal,
+                  ast.FunctionDef)
+        assert [type(n).__name__ for n in ast.walk(loop)
+                if n is not loop and isinstance(n, banned)] == []
+
+    def test_it_reads_no_global_but_the_exit_codes(self, loop):
+        names = [n for n in ast.walk(loop) if isinstance(n, ast.Name)]
+        local = {a.arg for a in loop.args.args} | {n.id for n in names
+                                                   if isinstance(n.ctx, ast.Store)}
+        free = {n.id for n in names if isinstance(n.ctx, ast.Load)} - local
+        assert free <= {"f", "float", "abs", "range", "_BUDGET", "_EXACT", "_RESIDUAL", "_NAN"}
+        assert all(type(getattr(solver, name)) is int for name in free if name.startswith("_"))
 
 
 class TestNumbaMissing:

@@ -443,6 +443,24 @@ SCALAR_OPTIONS = {
 }
 
 
+class TakesArraysFor:
+    """Wraps f so that it takes its first ``passes`` arrays and raises
+    TypeError on every later one, counting those; floats always pass."""
+
+    def __init__(self, passes, f):
+        self.f = f
+        self.passes = passes
+        self.rejected = 0
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            if not self.passes:
+                self.rejected += 1
+                raise TypeError("no more arrays")
+            self.passes -= 1
+        return self.f(x)
+
+
 class TestScalarFallback:
     def test_scalar_only_function_matches_vectorized(self, monkeypatch):
         """A function that rejects arrays must give a bit-identical solve."""
@@ -465,6 +483,23 @@ class TestScalarFallback:
             assert result.termination is Termination.WIDTH_REACHED
             assert result.function_evaluations == evaluations
             assert calls == {"array": 1, "scalar": evaluations + 1}  # + the residual probe
+
+    @pytest.mark.parametrize("sections", [3, 50])  # the list pass and the array pass
+    def test_an_array_rejected_mid_solve_hands_the_rest_to_the_node_loop(self, sections):
+        options = SolveOptions(sections=sections)
+        before = list if sections <= LIST_PASS_MAX_SECTIONS else np.ndarray
+        for problem in corpus():
+            f = TakesArraysFor(3, problem.f)
+            result = solve(Problem(problem.id, f, problem.bracket), options)
+            expected = solve(problem, options)
+            assert result == expected and result.trace == expected.trace
+            assert f.rejected == int(result.iterations > 3)
+            steps = result.steps
+            for i, (xs, fs) in enumerate(zip(steps.nodes_x, steps.nodes_f)):
+                kept = before if i < 3 else list
+                assert type(xs) is kept and type(fs) is kept
+            assert all(type(v) is float for seq in [*steps.nodes_x[3:], *steps.nodes_f[3:]]
+                       for v in seq)
 
     @pytest.mark.parametrize("option", SCALAR_OPTIONS)
     @pytest.mark.parametrize("sections", [2, 3, 5, 81, 250])
