@@ -126,7 +126,9 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Everything calibrate produces, in one place."""
+    """Everything calibrate produces, in one place.  ``report`` carries
+    T_t at N = 2 and at N_min only: its curve is the one point
+    ``((2, t_t_at_2),)``."""
 
     report: EfficiencyReport
     fit: LinearFit
@@ -383,8 +385,10 @@ def calibrate(
     ratio recorded beside the predicted rel_eff — prediction and
     measurement come from the same host minutes apart, which is the only
     comparison that transfers across machines (both timed by the sweep's
-    protocol, with ``runner.timed_solves``).  When the fit is unusable,
-    the :class:`FitError` carries the sweep's samples.
+    protocol, with ``runner.timed_solves``).  The report carries T_t at
+    N = 2 and at N_min only, the two the ratio needs; pass the fit to
+    :func:`efficiency_report` with an ``n_range`` for a curve.  When the
+    fit is unusable, the :class:`FitError` carries the sweep's samples.
     """
     if runner is None:
         runner = WallClockRunner()
@@ -394,10 +398,7 @@ def calibrate(
     fit = fit_linear(samples)
 
     scale = ProblemScale(width=problem.bracket.width)
-    report = efficiency_report(
-        CostModel(m=fit.m, c=fit.c), scale,
-        n_range=range(2, max(config.n_values) + 1),
-    )
+    report = efficiency_report(CostModel(m=fit.m, c=fit.c), scale, n_range=(2,))
 
     t_2, t_min = _solve_seconds(problem, (2, report.n_min_integer), runner)
     return CalibrationResult(
@@ -423,18 +424,32 @@ def write_sweep_csv(samples: Sequence[TimingSample], path) -> None:
 
 
 def read_sweep_csv(path) -> list[TimingSample]:
-    """Inverse of :func:`write_sweep_csv`; round-trips exactly."""
+    """Inverse of :func:`write_sweep_csv`; round-trips exactly.  A row
+    that is not four fields parsing as int, float, float and int raises
+    :class:`DomainError` naming its line, as a foreign header does."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER.split(","):
             raise DomainError(f"unexpected sweep CSV header: {header!r}")
-        return [
-            TimingSample(
-                N=int(row[0]),
-                mean_loop_seconds=float(row[1]),
-                stddev_loop_seconds=float(row[2]),
-                loop_count=int(row[3]),
-            )
-            for row in reader
-        ]
+        return [_sample_row(row, reader.line_num) for row in reader]
+
+
+def _sample_row(row: list[str], line: int) -> TimingSample:
+    """One sweep CSV row as a sample; ``line`` is its line number."""
+    if len(row) != 4:
+        raise DomainError(
+            f"sweep CSV line {line}: expected 4 fields, got {len(row)}: {row!r}"
+        )
+    try:
+        return TimingSample(
+            N=int(row[0]),
+            mean_loop_seconds=float(row[1]),
+            stddev_loop_seconds=float(row[2]),
+            loop_count=int(row[3]),
+        )
+    except ValueError:
+        raise DomainError(
+            f"sweep CSV line {line}: expected an int, two floats and an int, "
+            f"got {row!r}"
+        ) from None

@@ -1,18 +1,22 @@
 """Timing harness: measurement protocol, exact-arithmetic fit, calibration."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from multisection import (
     CalibrationResult,
     ClockError,
+    CostModel,
     DegenerateError,
     DomainError,
     FitError,
     Interval,
     LinearFit,
     Problem,
+    ProblemScale,
     SolveOptions,
     SweepConfig,
     SyntheticRunner,
@@ -20,6 +24,7 @@ from multisection import (
     WallClockRunner,
     calibrate,
     corpus,
+    efficiency_report,
     fit_linear,
     measure_loop_time,
     per_solve_seconds,
@@ -444,6 +449,20 @@ class TestCsvRoundTrip:
         with pytest.raises(DomainError):
             read_sweep_csv(path)
 
+    @pytest.mark.parametrize("row", [
+        pytest.param("2,1e-6,1e-8", id="short-row"),
+        pytest.param("", id="blank-line"),
+        pytest.param("2,abc,1e-8,10", id="float-field-not-a-number"),
+        pytest.param("2.5,1e-6,1e-8,10", id="N-not-an-int"),
+        pytest.param("2,1e-6,1e-8,10,7", id="fifth-field"),
+    ])
+    def test_a_bad_row_is_a_domain_error_naming_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("N,mean_loop_seconds,stddev_loop_seconds,loop_count\n"
+                        f"3,1e-6,1e-8,10\n{row}\n4,1e-6,1e-8,10\n")
+        with pytest.raises(DomainError, match="line 3"):
+            read_sweep_csv(path)
+
 
 class TestPerSolveSeconds:
     def test_synthetic_value(self):
@@ -481,6 +500,29 @@ class TestCalibrate:
         # under the 2% the calibration contract asks for
         rel_gap = abs(result.measured_ratio - report.rel_eff) / report.rel_eff
         assert rel_gap <= 0.02
+
+    def test_the_report_keeps_t_t_at_2_and_n_min_only(self):
+        problem = corpus()[2]
+        config = SweepConfig(problem=problem, n_values=(2, 3, 5, 10**5),
+                             min_loops=100, warmup_loops=0)
+        runner = SyntheticRunner(2e-9, 5e-7)
+        calibrate(problem, config, runner)  # warm-up: the memoised budgets
+        tracemalloc.start()
+        try:
+            result = calibrate(problem, config, runner)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        report = result.report
+        assert report.curve == ((2, report.t_t_at_2),)
+        full = efficiency_report(CostModel(result.fit.m, result.fit.c),
+                                 ProblemScale(problem.bracket.width),
+                                 n_range=range(2, 251))
+        assert replace(full, curve=report.curve) == report
+        # the samples, the fit and the report's scalars (2-3 KiB); a curve
+        # over N = 2..10**5 would keep about 11.9 MB
+        assert kept <= 8192
 
     def test_positional_problem_overrides_config(self):
         config = SweepConfig(problem=corpus()[0], n_values=[2, 40, 80],
